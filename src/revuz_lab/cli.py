@@ -1,13 +1,16 @@
 """Command-line entry points.
 
-Three subcommands:
+Four subcommands:
 
 * ``revuz-lab rho --model ... --mu ... --nu ...`` prints the metric value;
 * ``revuz-lab estimate ...`` runs one Monte Carlo expectation and writes a
   one-row table (csv or json);
 * ``revuz-lab run <experiment> [--seed --paths --dt --out DIR]`` runs a
   scripted experiment and persists its report; the exit code is 0 only
-  when every verdict holds.
+  when every verdict holds;
+* ``revuz-lab dump-path --model ... --x0 ... [--seed --index --dt --horizon]``
+  prints path ``index`` of ``seed`` as csv rows ``t,x,alive``, where
+  ``alive`` turns 0 from the lifetime on.
 
 A ``--config FILE`` of ``key = value`` lines overrides any flag.
 """

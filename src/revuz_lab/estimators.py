@@ -5,6 +5,13 @@ counter-based stream, and reduces with a fixed-shape pairwise tree, so an
 estimate is a pure function of (seed, config, n_paths) -- the worker count
 cannot change a single bit of the result.
 
+On the two event models (static, flip) the library functionals below are
+evaluated a block of at most ``BLOCK`` paths at a time: each worker walks
+its slice in blocks, every path still draws from its own stream, and the
+functional runs once per block on numpy rows.  Each path's value is
+bit-identical to the per-path route, which diffusion models and any other
+callable keep.
+
 The weightings:
 
 * ``MWindow(W)``    starts uniform on W, reports |W| * mean (the reference
@@ -33,9 +40,19 @@ from revuz_lab.kernels import Potential, measure_support
 from revuz_lab.measures import SmoothMeasure
 from revuz_lab.models import ProcessModel, phi
 from revuz_lab.pcaf import PcafSpec, evaluate, sup_distance
-from revuz_lab.simulate import Path, SimConfig, first_hitting_time, rng_for, simulate_path
+from revuz_lab.simulate import (
+    EVENT_MODELS,
+    EventBlock,
+    Path,
+    SimConfig,
+    first_hitting_time,
+    rng_for,
+    simulate_block,
+    simulate_path,
+)
 
 _STAGE = 1 << 32  # stream-index spacing between estimator stages
+BLOCK = 256  # event paths per block; bounds the rows held per worker
 
 
 # --------------------------------------------------------------------------
@@ -86,14 +103,20 @@ def _estimate_from_values(values, tails, seed, scale=1.0) -> McEstimate:
     )
 
 
-def _mc_over_indices(n_paths, workers, per_index) -> tuple[np.ndarray, np.ndarray]:
-    """Fill per-path (value, tail) arrays; layout independent of workers."""
+def _mc_over_indices(n_paths, workers, per_block) -> tuple[np.ndarray, np.ndarray]:
+    """Fill per-path (value, tail) arrays; layout independent of workers.
+
+    ``per_block(lo, hi)`` returns the values and tails of paths lo..hi-1.
+    Each worker walks one contiguous slice in blocks of at most ``BLOCK``
+    paths.
+    """
     vals = np.empty(n_paths)
     tails = np.empty(n_paths)
 
     def run_slice(lo, hi):
-        for i in range(lo, hi):
-            vals[i], tails[i] = per_index(i)
+        for start in range(lo, hi, BLOCK):
+            stop = min(start + BLOCK, hi)
+            vals[start:stop], tails[start:stop] = per_block(start, stop)
 
     if workers <= 1:
         run_slice(0, n_paths)
@@ -107,6 +130,18 @@ def _mc_over_indices(n_paths, workers, per_index) -> tuple[np.ndarray, np.ndarra
             for f in futures:
                 f.result()
     return vals, tails
+
+
+def _path_by_path(per_index):
+    """The per_block of a per_index(i) -> (value, tail), one path at a time."""
+
+    def per_block(lo, hi):
+        out = np.empty((2, hi - lo))
+        for i in range(lo, hi):
+            out[:, i - lo] = per_index(i)
+        return out
+
+    return per_block
 
 
 # --------------------------------------------------------------------------
@@ -191,17 +226,52 @@ def kappa_mass(window: tuple[float, float]) -> float:
 # path functionals
 # --------------------------------------------------------------------------
 
-def discounted_square(spec: PcafSpec, alpha: float = 1.0):
+@dataclass(frozen=True)
+class Functional:
+    """A path functional F(path) -> (value, tail bound).
+
+    ``rows``, when set, evaluates F on every row of an event block at once
+    and returns per-row value and tail arrays, bit-identical to calling F
+    on each row's path.
+    """
+
+    per_path: Callable[[Path], tuple[float, float]]
+    rows: Optional[Callable[[EventBlock], tuple]] = None
+
+    def __call__(self, path: Path) -> tuple[float, float]:
+        return self.per_path(path)
+
+
+def _square_with_tail(v, tail):
+    """(v^2, bound on how far v^2 can move when v moves by tail)."""
+    return v * v, 2.0 * abs(v) * tail + tail * tail
+
+
+def discounted_square(spec: PcafSpec, alpha: float = 1.0) -> Functional:
     """F(path) = (discounted total)^2 with a propagated tail bound."""
 
     def functional(path: Path):
-        v, tail = pcaf.discounted_final(spec, path, alpha)
-        return v * v, 2.0 * abs(v) * tail + tail * tail
+        return _square_with_tail(*pcaf.discounted_final(spec, path, alpha))
 
-    return functional
+    def rows(block: EventBlock):
+        return _square_with_tail(*pcaf.block_discounted_final(spec, block, alpha))
+
+    return Functional(functional, rows)
 
 
-def terminal_value(spec: PcafSpec, t: float, alpha: float = 0.0):
+def _interp_rows(t: float, grid: np.ndarray, series: np.ndarray) -> np.ndarray:
+    """np.interp(t, grid[r], series[r]) for every row, with np.interp's
+    arithmetic; the padded points of a row all sit at its last time."""
+    r = np.arange(grid.shape[0])
+    j = np.clip((grid <= t).sum(axis=1) - 1, 0, grid.shape[1] - 2)
+    g0, g1, v0, v1 = grid[r, j], grid[r, j + 1], series[r, j], series[r, j + 1]
+    inside = (t >= grid[:, 0]) & (t < grid[:, -1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        between = (v1 - v0) / (g1 - g0) * (t - g0) + v0
+    return np.where(inside, between, np.where(t < grid[:, 0], series[:, 0], series[:, -1]))
+
+
+def terminal_value(spec: PcafSpec, t: float, alpha: float = 0.0) -> Functional:
     """F(path) = A_t (undiscounted by default)."""
 
     def functional(path: Path):
@@ -209,10 +279,14 @@ def terminal_value(spec: PcafSpec, t: float, alpha: float = 0.0):
         series = traj.values if alpha == 0.0 else traj.discounted
         return float(np.interp(t, traj.grid, series)), 0.0
 
-    return functional
+    def rows(block: EventBlock):
+        _, series = pcaf.block_series(spec, block, alpha)
+        return _interp_rows(t, block.grid, series), 0.0
+
+    return Functional(functional, rows)
 
 
-def sup_sq_diff(spec_a: PcafSpec, spec_b: PcafSpec, T: float, alpha: float = 1.0):
+def sup_sq_diff(spec_a: PcafSpec, spec_b: PcafSpec, T: float, alpha: float = 1.0) -> Functional:
     """F(path) = sup_{t <= T} |A_t - B_t|^2 on the shared path (common random numbers)."""
 
     def functional(path: Path):
@@ -221,20 +295,32 @@ def sup_sq_diff(spec_a: PcafSpec, spec_b: PcafSpec, T: float, alpha: float = 1.0
         d = sup_distance(ta, tb, T)
         return d * d, 0.0
 
-    return functional
+    def rows(block: EventBlock):
+        if alpha < 0:
+            raise ValueError("alpha must be nonnegative")
+        _, va = pcaf.block_series(spec_a, block)
+        _, vb = pcaf.block_series(spec_b, block)
+        d = np.where(block.grid <= T, np.abs(va - vb), 0.0).max(axis=1)
+        return d * d, 0.0
+
+    return Functional(functional, rows)
 
 
-def discounted_sq_diff(spec_a: PcafSpec, spec_b: PcafSpec, alpha: float = 1.0):
+def discounted_sq_diff(spec_a: PcafSpec, spec_b: PcafSpec, alpha: float = 1.0) -> Functional:
     """F(path) = (A~_inf - B~_inf)^2 on the shared path."""
 
-    def functional(path: Path):
-        va, tla = pcaf.discounted_final(spec_a, path, alpha)
-        vb, tlb = pcaf.discounted_final(spec_b, path, alpha)
-        d = va - vb
-        tl = tla + tlb
-        return d * d, 2.0 * abs(d) * tl + tl * tl
+    def square(va, tla, vb, tlb):
+        return _square_with_tail(va - vb, tla + tlb)
 
-    return functional
+    def functional(path: Path):
+        return square(*pcaf.discounted_final(spec_a, path, alpha),
+                      *pcaf.discounted_final(spec_b, path, alpha))
+
+    def rows(block: EventBlock):
+        return square(*pcaf.block_discounted_final(spec_a, block, alpha),
+                      *pcaf.block_discounted_final(spec_b, block, alpha))
+
+    return Functional(functional, rows)
 
 
 # --------------------------------------------------------------------------
@@ -254,18 +340,28 @@ def expect(
     Path i draws its start (when the weighting requires one) and then its
     trajectory from the stream keyed by (cfg.seed, i).  The reported mean
     carries the weighting multiplier (window length, kappa mass, or 1).
+    A ``Functional`` with ``rows`` on an event model runs block by block;
+    every other functional runs path by path.  Both give the same value
+    array.
     """
     if isinstance(weighting, Nu0Weighting):
         return nu0_expect(model, functional, cfg, weighting)
     draw, multiplier = _start_sampler(model, weighting)
+    rows = getattr(functional, "rows", None)
 
-    def per_index(i):
-        rng = rng_for(cfg.seed, i)
-        x0 = draw(rng)
-        path = simulate_path(model, x0, cfg, rng)
-        return functional(path)
+    if rows is not None and model.name in EVENT_MODELS:
+        def per_block(lo, hi):
+            return rows(simulate_block(model, draw, cfg, lo, hi))
+    else:
+        def per_index(i):
+            rng = rng_for(cfg.seed, i)
+            x0 = draw(rng)
+            path = simulate_path(model, x0, cfg, rng)
+            return functional(path)
 
-    vals, tails = _mc_over_indices(n_paths, workers, per_index)
+        per_block = _path_by_path(per_index)
+
+    vals, tails = _mc_over_indices(n_paths, workers, per_block)
     if not np.all(np.isfinite(vals)):
         raise RuntimeError("non-finite Monte Carlo sample encountered")
     return _estimate_from_values(vals, tails, cfg.seed, scale=multiplier)
@@ -543,7 +639,16 @@ def fukushima_residual(
         m = terminal - float(uv[0]) - alpha * integral + float(traj.values[-1])
         return m, 0.0
 
-    return expect(model, PointMass(x), functional, run_cfg, n_paths, workers)
+    def static_rows(block: EventBlock):
+        # one panel [0, end] at the start x0; U from the lifetime's own rate
+        u = kernels.static_potential(mu, alpha, block.states[:, 0], block.rate)
+        _, series = pcaf.block_series(spec, block)
+        terminal = np.where(block.killed, 0.0, u)
+        return terminal - u - alpha * (u * block.grid[:, 1]) + series[:, -1], 0.0
+
+    rows = static_rows if model.name == "killed_static" else None
+    return expect(model, PointMass(x), Functional(functional, rows), run_cfg,
+                  n_paths, workers)
 
 
 def hitting_laplace_check(
@@ -570,7 +675,7 @@ def hitting_laplace_check(
             return 0.0, cap
         return math.exp(-sigma), 0.0
 
-    vals, tails = _mc_over_indices(n_paths, workers, per_index)
+    vals, tails = _mc_over_indices(n_paths, workers, _path_by_path(per_index))
     return _estimate_from_values(vals, tails, cfg.seed)
 
 

@@ -221,11 +221,7 @@ class Potential:
                 integrand_points=(x,),
             )
         if m.name == "killed_static":
-            if not isinstance(self.mu, DensityMeasure):
-                raise ValueError(
-                    "killed_static potentials require a density measure"
-                )
-            return float(density_value(self.mu, x)) / (self.alpha + x ** -2.0)
+            return float(static_potential(self.mu, self.alpha, x, m.killing_density(x)))
         if m.name == "flip_jump":
             if not isinstance(self.mu, DensityMeasure):
                 raise ValueError("flip_jump potentials require a density measure")
@@ -233,6 +229,18 @@ class Potential:
             fmx = float(density_value(self.mu, -x))
             return (fx + fmx) / (2.0 * self.alpha) + (fx - fmx) / (2.0 * (self.alpha + 2.0))
         raise ValueError(f"unknown model {m.name}")
+
+
+def static_potential(mu: SmoothMeasure, alpha: float, x, rate):
+    """U_alpha mu = f / (alpha + g) of the static model, given g = rate at x.
+
+    Vectorized over x and rate.  Taking the killing rate from the caller
+    lets a path reuse the rate its lifetime draw used, bit for bit.
+    """
+    if not isinstance(mu, DensityMeasure):
+        raise ValueError("killed_static potentials require a density measure")
+    return density_value(mu, x) / (alpha + rate)
+
 
 def potential(model, alpha, mu, tol=DEFAULT_TOL) -> Potential:
     return Potential(model, alpha, mu, tol)

@@ -379,12 +379,14 @@ def sample(mu: SmoothMeasure, rng: np.random.Generator, size: Optional[int] = No
 
 
 _CDF_TABLE_SIZE = 4097
-_cdf_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# keyed on the measure itself: the key keeps it alive, so a later measure
+# can never pick up a table built for another one
+_cdf_cache: dict[DensityMeasure, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _sample_density(mu: DensityMeasure, rng: np.random.Generator, m: int) -> np.ndarray:
-    key = id(mu)
-    if key not in _cdf_cache:
+    table = _cdf_cache.get(mu)
+    if table is None:
         a, b = mu.support
         if not (np.isfinite(a) and np.isfinite(b)):
             raise ValueError(
@@ -408,8 +410,11 @@ def _sample_density(mu: DensityMeasure, rng: np.random.Generator, m: int) -> np.
         cdf = np.concatenate([[0.0], np.cumsum((fx[1:] + fx[:-1]) / 2.0 * np.diff(xs))])
         if not np.isfinite(cdf[-1]) or cdf[-1] <= 0.0:
             raise ValueError(f"density {mu.label} has non-finite or zero mass")
-        _cdf_cache[key] = (xs, cdf / cdf[-1])
-    xs, cdf = _cdf_cache[key]
+        table = (xs, cdf / cdf[-1])
+        if len(_cdf_cache) > 16:
+            _cdf_cache.clear()
+        _cdf_cache[mu] = table
+    xs, cdf = table
     return np.interp(rng.random(m), cdf, xs)
 
 

@@ -12,7 +12,9 @@ A PCAF spec pairs an occupation-type rule with the measure it represents:
 Evaluation is trapezoidal on diffusion grids and exact piecewise-constant
 on event grids; both freeze at the lifetime.  Discounted values
 ``int_0^t e^{-alpha s} dA_s`` accumulate by the same rule, and carry an
-explicit horizon tail bound ``e^{-alpha T} rate / alpha``.
+explicit horizon tail bound ``e^{-alpha T} rate / alpha``.  Event grids are
+evaluated row-wise over an ``EventBlock`` of paths (``block_series``,
+``block_discounted_final``); a single event path is the one-row case.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from revuz_lab.measures import (
     cantor_indicator,
     density_value,
 )
-from revuz_lab.simulate import Path
+from revuz_lab.simulate import EventBlock, Path
 
 
 @dataclass(frozen=True)
@@ -170,32 +172,90 @@ def _discount_for(grid: np.ndarray, alpha: float) -> np.ndarray:
     return e
 
 
+def _row_values(spec: PcafSpec, states: np.ndarray) -> np.ndarray:
+    """f at every state of a 2-D block of rows."""
+    return spec.values(states.ravel()).reshape(states.shape)
+
+
+def _discount_weights(grid: np.ndarray, alpha: float) -> np.ndarray:
+    """int e^{-alpha s} ds over each event panel, row-wise."""
+    e = np.exp(-alpha * grid)
+    return (e[:, :-1] - e[:, 1:]) / alpha
+
+
+def _event_series(fv: np.ndarray, grid: np.ndarray, alpha: float) -> np.ndarray:
+    """Row-wise cumulative A (alpha = 0) or discounted A on event rows.
+
+    Exact piecewise-constant integration: each panel contributes its left
+    value times its width (alpha = 0) or its exact exponential weight.
+    Zero-width padding panels add exactly 0.
+    """
+    if alpha == 0.0:
+        panels = grid[:, 1:] - grid[:, :-1]
+    else:
+        panels = _discount_weights(grid, alpha)
+    out = np.zeros(grid.shape)
+    np.cumsum(fv[:, :-1] * panels, axis=1, out=out[:, 1:])
+    return out
+
+
+def _tail_rate(spec: PcafSpec, fv: np.ndarray):
+    """The spec's rate bound, else the largest value along each path."""
+    if spec.rate_bound is not None:
+        return spec.rate_bound
+    return fv.max(axis=-1) if fv.size else 0.0
+
+
+def block_series(spec: PcafSpec, block: EventBlock, alpha: float = 0.0):
+    """(f values, cumulative series) on every row of an event block.
+
+    The series is A (alpha = 0) or the discounted A~ at each grid point;
+    padded points repeat the row's final value.
+    """
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    fv = _row_values(spec, block.states)
+    return fv, _event_series(fv, block.grid, alpha)
+
+
+def block_discounted_final(spec: PcafSpec, block: EventBlock, alpha: float):
+    """Per-row (A~ at the path end, tail bound) on an event block."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive for discounted totals")
+    fv = _row_values(spec, block.states)
+    w = _discount_weights(block.grid, alpha)
+    # a one-panel row is its single product (as np.dot forms it, from +0.0);
+    # longer rows keep np.dot's own summation order
+    totals = 0.0 + fv[:, 0] * w[:, 0]
+    for r in np.flatnonzero(block.length > 2):
+        n = block.length[r] - 1
+        totals[r] = np.dot(fv[r, :n], w[r, :n])
+    tail = math.exp(-alpha * block.horizon) * _tail_rate(spec, fv) / alpha
+    return totals, np.where(block.killed, 0.0, tail)
+
+
 def evaluate(spec: PcafSpec, path: Path, alpha: float = 1.0) -> PcafTrajectory:
     """Accumulate the PCAF and its discounted version along one path.
 
     Diffusion grids use the trapezoid rule; event grids (flip, static) use
     exact piecewise-constant integration, including the exact exponential
-    weight on each panel for the discounted part.
+    weight on each panel for the discounted part (the one-row case of
+    ``block_series``).
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     t = path.grid
-    fv = spec.values(path.states)
-    n = t.size
-    values = np.empty(n)
-    values[0] = 0.0
     if path.piecewise_constant:
-        dtv = np.diff(t)
-        left = fv[:-1]
-        np.cumsum(left * dtv, out=values[1:])
-        if alpha == 0.0:
-            disc = values.copy()
-        else:
-            disc = np.empty(n)
-            disc[0] = 0.0
-            w = (np.exp(-alpha * t[:-1]) - np.exp(-alpha * t[1:])) / alpha
-            np.cumsum(left * w, out=disc[1:])
+        block = EventBlock.of_path(path)
+        fv = _row_values(spec, block.states)
+        values = _event_series(fv, block.grid, 0.0)[0]
+        disc = values.copy() if alpha == 0.0 else _event_series(fv, block.grid, alpha)[0]
+        fv = fv[0]
     else:
+        fv = spec.values(path.states)
+        n = t.size
+        values = np.empty(n)
+        values[0] = 0.0
         dtv = path.uniform_dt if path.uniform_dt is not None else np.diff(t)
         mid = fv[:-1] + fv[1:]
         np.cumsum(mid * dtv if np.ndim(dtv) else mid, out=values[1:])
@@ -215,9 +275,7 @@ def evaluate(spec: PcafSpec, path: Path, alpha: float = 1.0) -> PcafTrajectory:
                 disc[1:] *= 0.5 * dtv
             else:
                 disc[1:] *= 0.5
-    rate = spec.rate_bound
-    if rate is None:
-        rate = float(fv.max()) if fv.size else 0.0
+    rate = float(_tail_rate(spec, fv))
     return PcafTrajectory(t, values, disc, alpha, rate, path.killed, path.horizon)
 
 
@@ -225,28 +283,25 @@ def discounted_final(spec: PcafSpec, path: Path, alpha: float) -> tuple[float, f
     """The scalar pair (A~ at the path end, tail bound), skipping cumsums.
 
     Same accumulation rules as ``evaluate`` followed by ``discounted_total``,
-    but only the final value is formed.
+    but only the final value is formed; event paths are the one-row case of
+    ``block_discounted_final``.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive for discounted totals")
+    if path.piecewise_constant:
+        total, tail = block_discounted_final(spec, EventBlock.of_path(path), alpha)
+        return float(total[0]), float(tail[0])
     t = path.grid
     fv = spec.values(path.states)
-    if path.piecewise_constant:
-        w = (np.exp(-alpha * t[:-1]) - np.exp(-alpha * t[1:])) / alpha
-        total = float(np.dot(fv[:-1], w))
+    ev = _discount_for(t, alpha) * fv
+    if path.uniform_dt is not None:
+        total = (float(ev.sum()) - 0.5 * float(ev[0] + ev[-1])) * path.uniform_dt
     else:
-        ev = _discount_for(t, alpha) * fv
-        if path.uniform_dt is not None:
-            total = (float(ev.sum()) - 0.5 * float(ev[0] + ev[-1])) * path.uniform_dt
-        else:
-            dtv = np.diff(t)
-            total = 0.5 * float(np.dot(ev[:-1] + ev[1:], dtv))
+        dtv = np.diff(t)
+        total = 0.5 * float(np.dot(ev[:-1] + ev[1:], dtv))
     if path.killed:
         return total, 0.0
-    rate = spec.rate_bound
-    if rate is None:
-        rate = float(fv.max()) if fv.size else 0.0
-    return total, math.exp(-alpha * path.horizon) * rate / alpha
+    return total, math.exp(-alpha * path.horizon) * float(_tail_rate(spec, fv)) / alpha
 
 
 def discounted_total(

@@ -5,6 +5,12 @@ Every path owns a counter-based random stream derived from
 of those two integers: simulations reproduce bit-for-bit regardless of
 scheduling or worker count.
 
+The two event models (static, flip) can also be simulated a block of
+indices at a time (``simulate_block``): each path still draws from its own
+stream, and the block holds the paths as padded rows that the PCAF layer
+evaluates all at once.  Row r of a block is the path ``simulate_path``
+builds from the same stream, bit for bit.
+
 Discretization notes
 --------------------
 * Brownian paths use exact Gaussian increments on a uniform grid.
@@ -21,26 +27,53 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import Callable, Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from revuz_lab.models import ExitKind, ProcessModel
 
-_MASK64 = (1 << 64) - 1
+_KEY_LIMIT = 1 << 64
 _CHUNK = 4096
+
+EVENT_MODELS = ("killed_static", "flip_jump")
+
+
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox its two 64-bit key words as its seed state.
+
+    ``Philox(key=k)`` first seeds a ``SeedSequence`` from OS entropy and then
+    overwrites the state with k; seeding from the key words directly gives
+    the same state without the entropy read.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key is two 64-bit words")
+        return self.words
 
 
 def rng_for(seed: int, path_index: int) -> np.random.Generator:
     """The Philox stream owned by path ``path_index`` under ``seed``.
 
-    Distinct (seed, index) pairs map to distinct 128-bit Philox keys, giving
-    statistically independent streams; the same pair always reproduces the
-    same draws.
+    Distinct (seed, index) pairs in [0, 2**64) map to distinct 128-bit
+    Philox keys (key = seed * 2**64 + index), giving statistically
+    independent streams; the same pair always reproduces the same draws.
     """
-    if path_index < 0:
-        raise ValueError("path index must be nonnegative")
-    key = ((int(seed) & _MASK64) << 64) | (int(path_index) & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    seed, path_index = int(seed), int(path_index)
+    if not 0 <= seed < _KEY_LIMIT:
+        raise ValueError(f"seed {seed} outside [0, 2**64)")
+    if not 0 <= path_index < _KEY_LIMIT:
+        raise ValueError(f"path index {path_index} outside [0, 2**64)")
+    words = np.array([path_index, seed], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_PhiloxKey(words)))
 
 
 @dataclass(frozen=True)
@@ -166,17 +199,29 @@ def _absorbed_bm_path(x0, cfg, rng) -> Path:
                 uniform_dt=cfg.dt)
 
 
-def _flip_path(x0, cfg, rng) -> Path:
-    T = cfg.horizon
+def _flip_times(horizon: float, rng: np.random.Generator) -> list[float]:
+    """0 and the unit-rate flip times inside (0, horizon), drawn 64 at a time."""
     times = [0.0]
     t = 0.0
-    while t < T:
+    while t < horizon:
         for tau in rng.exponential(1.0, 64):
             t += tau
-            if t >= T:
+            if t >= horizon:
                 break
             times.append(t)
-    grid = np.array(times + [T])
+    return times
+
+
+def _static_lifetime(model, x0, horizon, rng) -> tuple[float, float]:
+    """(killing rate g(x0), lifetime); the lifetime is inf beyond the horizon."""
+    rate = model.killing_density(x0)
+    zeta = rng.exponential(1.0 / rate)
+    return rate, (zeta if zeta < horizon else math.inf)
+
+
+def _flip_path(x0, cfg, rng) -> Path:
+    T = cfg.horizon
+    grid = np.array(_flip_times(T, rng) + [T])
     states = np.empty(grid.size)
     states[0:-1:2] = x0
     states[1:-1:2] = -x0
@@ -186,15 +231,86 @@ def _flip_path(x0, cfg, rng) -> Path:
 
 
 def _static_path(model, x0, cfg, rng) -> Path:
-    rate = model.killing_density(x0)
-    zeta = rng.exponential(1.0 / rate)
-    if zeta >= cfg.horizon:
+    _, zeta = _static_lifetime(model, x0, cfg.horizon, rng)
+    if math.isinf(zeta):
         grid = np.array([0.0, cfg.horizon])
         return Path(grid, np.array([x0, x0]), math.inf, ExitKind.ALIVE,
                     cfg.horizon, piecewise_constant=True)
     grid = np.array([0.0, zeta])
     return Path(grid, np.array([x0, x0]), zeta, ExitKind.KILLED_BY_KAPPA,
                 cfg.horizon, piecewise_constant=True)
+
+
+@dataclass
+class EventBlock:
+    """Consecutive paths of an event model as rows of equal width.
+
+    Row r holds one path: ``grid[r, :length[r]]`` and ``states[r, :length[r]]``
+    are that path's ``Path.grid`` and ``Path.states``.  Shorter rows are
+    padded on the right by repeating their last time and state, so every
+    padded panel has zero width.  ``rate`` is the static model's killing
+    rate g(x0) per row, as its lifetime draw computed it (None otherwise).
+    """
+
+    grid: np.ndarray
+    states: np.ndarray
+    length: np.ndarray
+    killed: np.ndarray
+    horizon: float
+    rate: Optional[np.ndarray] = None
+
+    @classmethod
+    def of_path(cls, path: Path) -> "EventBlock":
+        """The one-row block of an event path."""
+        return cls(path.grid[None, :], path.states[None, :],
+                   np.array([path.grid.size]), np.array([path.killed]),
+                   path.horizon)
+
+
+def simulate_block(
+    model: ProcessModel,
+    draw: Callable[[np.random.Generator], float],
+    cfg: SimConfig,
+    lo: int,
+    hi: int,
+) -> EventBlock:
+    """Paths lo..hi-1 of an event model as an ``EventBlock``.
+
+    Path i takes the stream ``rng_for(cfg.seed, i)``, draws its start with
+    ``draw`` and then its events from the same stream, so row i - lo is
+    bit-identical to ``simulate_path(model, x0, cfg, rng)`` after the same
+    start draw.
+    """
+    if model.name not in EVENT_MODELS:
+        raise ValueError(f"{model.name} is not an event model")
+    T = cfg.horizon
+    starts, events = [], []
+    for i in range(lo, hi):
+        rng = rng_for(cfg.seed, i)
+        x0 = draw(rng)
+        model.require_inside(x0)
+        starts.append(x0)
+        if model.name == "killed_static":
+            events.append(_static_lifetime(model, x0, T, rng))
+        else:
+            events.append(_flip_times(T, rng))
+    x0 = np.array(starts, dtype=float)[:, None]
+    if model.name == "killed_static":
+        rate, zeta = np.array(events).T
+        killed = zeta < T
+        grid = np.zeros((x0.shape[0], 2))
+        grid[:, 1] = np.where(killed, zeta, T)
+        return EventBlock(grid, np.hstack([x0, x0]), np.full(x0.shape[0], 2),
+                          killed, T, rate)
+    length = np.array([len(times) for times in events]) + 1
+    cols = np.arange(length.max())
+    grid = np.full((length.size, cols.size), T)
+    grid[cols < length[:, None] - 1] = np.fromiter(
+        chain.from_iterable(events), float, count=int(length.sum() - length.size))
+    # x0 on even panels, -x0 on odd ones; the last state repeats into the padding
+    flips = np.minimum(cols, length[:, None] - 2) % 2 == 1
+    states = np.where(flips, -x0, x0)
+    return EventBlock(grid, states, length, np.zeros(length.size, dtype=bool), T)
 
 
 def first_hitting_time(

@@ -4,6 +4,8 @@ import math
 import pytest
 
 from revuz_lab.cli import main
+from revuz_lab.models import FLIP_JUMP, KILLED_STATIC
+from revuz_lab.simulate import SimConfig, rng_for, simulate_path
 
 
 def test_rho_prints_value(capsys):
@@ -81,3 +83,33 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cfgfile.write_text("volume = 11\n")
     with pytest.raises(ValueError):
         main(["run", "ex1", "--config", str(cfgfile)])
+
+
+def _dump(capsys, model, x0, seed, index, horizon):
+    code = main(["dump-path", "--model", model, "--x0", repr(x0), "--seed", str(seed),
+                 "--index", str(index), "--horizon", repr(horizon)])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "t,x,alive"
+    return [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+
+
+@pytest.mark.parametrize("model", [FLIP_JUMP, KILLED_STATIC])
+def test_dump_path_rows_match_simulate_path(capsys, model):
+    cfg = SimConfig(dt=1e-3, horizon=3.0, seed=12)
+    for index in range(4):
+        path = simulate_path(model, 0.5, cfg, rng_for(12, index))
+        rows = _dump(capsys, model.name, 0.5, 12, index, 3.0)
+        assert len(rows) == path.grid.size
+        for (t, x, _), gt, gx in zip(rows, path.grid, path.states):
+            assert t == pytest.approx(gt, rel=1e-9, abs=1e-12)
+            assert x == pytest.approx(gx, rel=1e-9, abs=1e-12)
+
+
+def test_dump_path_alive_turns_zero_at_zeta(capsys):
+    cfg = SimConfig(dt=1e-3, horizon=50.0, seed=1)
+    path = simulate_path(KILLED_STATIC, 0.2, cfg, rng_for(1, 0))
+    assert path.killed
+    rows = _dump(capsys, "killed_static", 0.2, 1, 0, 50.0)
+    assert [alive for _, _, alive in rows] == [1.0, 0.0]
+    assert rows[-1][0] == pytest.approx(path.zeta, rel=1e-9)

@@ -168,6 +168,15 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(measures.perturbed_base(), rng_for(0, 0))
 
+    def test_temporary_measures_get_their_own_tables(self):
+        # each temporary measure is freed before the next is built, so an
+        # identity-keyed table cache would hand later ones a stale table
+        outside = 0
+        for k in range(200):
+            pts = sample(measures.uniform_density(k, k + 1), rng_for(5, k), size=16)
+            outside += int(np.any((pts < k) | (pts > k + 1)))
+        assert outside == 0
+
 
 class TestConfigLiterals:
     def test_density_literal(self):

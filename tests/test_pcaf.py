@@ -177,6 +177,26 @@ class TestDiscountedTotal:
         with pytest.warns(UserWarning, match="extend the horizon"):
             discounted_total(traj, tol=1e-6)
 
+    def test_event_rules_are_the_panel_formulas(self):
+        # the exact piecewise-constant rules, spelled out on whole paths:
+        # left value times panel width, the exponential panel weight, and
+        # the discounted total as one np.dot
+        spec = DensityPcaf(lambda x: np.exp(-np.asarray(x)), label="exp", rate_bound=None)
+        cfg = SimConfig(dt=1e-3, horizon=20.0, seed=6)
+        for model, x0 in ((FLIP_JUMP, 0.5), (KILLED_STATIC, 0.3037176527266371)):
+            for i in range(40):
+                p = simulate_path(model, x0, cfg, rng_for(6, i))
+                t, fv = p.grid, spec.values(p.states)
+                w = (np.exp(-1.5 * t[:-1]) - np.exp(-1.5 * t[1:])) / 1.5
+                traj = evaluate(spec, p, 1.5)
+                assert np.array_equal(traj.values[1:], np.cumsum(fv[:-1] * np.diff(t)))
+                assert np.array_equal(traj.discounted[1:], np.cumsum(fv[:-1] * w))
+                total, tail = discounted_final(spec, p, 1.5)
+                assert total.hex() == float(np.dot(fv[:-1], w)).hex()
+                expected_tail = 0.0 if p.killed else \
+                    math.exp(-1.5 * 20.0) * float(fv.max()) / 1.5
+                assert tail.hex() == expected_tail.hex()
+
     def test_fast_route_matches(self):
         cfg = SimConfig(dt=1e-3, horizon=5.0, seed=14)
         spec = DensityPcaf(lambda x: np.asarray(x) ** 2 + 0.1, label="q",

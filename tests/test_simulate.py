@@ -36,6 +36,25 @@ class TestRngFor:
         with pytest.raises(ValueError):
             rng_for(0, -1)
 
+    @pytest.mark.parametrize("seed, index", [
+        (0, 2**64), (0, 5 + 2**64),
+        (-1, 0), (2**64, 0), (5 + 2**64, 0),
+    ])
+    def test_out_of_range_key_rejected(self, seed, index):
+        # masking to 64 bits would alias these onto in-range streams
+        with pytest.raises(ValueError):
+            rng_for(seed, index)
+
+    def test_key_words_give_the_philox_key_stream(self):
+        for seed, index in ((0, 0), (5, 7), (2**64 - 1, 2**64 - 1)):
+            ref = np.random.Philox(key=(seed << 64) | index)
+            rng = rng_for(seed, index)
+            got, want = rng.bit_generator.state["state"], ref.state["state"]
+            assert np.array_equal(got["key"], want["key"])
+            assert np.array_equal(got["counter"], want["counter"])
+            assert np.array_equal(rng.standard_normal(8),
+                                  np.random.Generator(ref).standard_normal(8))
+
 
 class TestSimConfig:
     def test_validation(self):
