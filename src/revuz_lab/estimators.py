@@ -83,9 +83,6 @@ class McEstimate:
     seed: int
     tail_bound: float = 0.0
 
-    def within(self, target: float, sigmas: float = 3.0, allowance: float = 0.0) -> bool:
-        return abs(self.mean - target) <= sigmas * self.std_error + allowance + self.tail_bound
-
 
 def _estimate_from_values(values, tails, seed, scale=1.0) -> McEstimate:
     n = len(values)
@@ -206,7 +203,7 @@ def _start_sampler(model: ProcessModel, w: Weighting):
         slo, shi = model.state_space
         if not (slo < a < b < shi):
             raise ValueError(f"kappa window {w.window!r} must sit inside ({slo}, {shi})")
-        mass = 1.0 / a - 1.0 / b  # integral of x^-2 over [a, b]
+        mass = kappa_mass(w.window)
 
         def draw(rng, a=a, inv_span=mass):
             u = rng.random()
@@ -271,35 +268,29 @@ def _interp_rows(t: float, grid: np.ndarray, series: np.ndarray) -> np.ndarray:
     return np.where(inside, between, np.where(t < grid[:, 0], series[:, 0], series[:, -1]))
 
 
-def terminal_value(spec: PcafSpec, t: float, alpha: float = 0.0) -> Functional:
-    """F(path) = A_t (undiscounted by default)."""
+def terminal_value(spec: PcafSpec, t: float) -> Functional:
+    """F(path) = A_t."""
 
     def functional(path: Path):
-        traj = evaluate(spec, path, alpha)
-        series = traj.values if alpha == 0.0 else traj.discounted
-        return float(np.interp(t, traj.grid, series)), 0.0
+        traj = evaluate(spec, path)
+        return float(np.interp(t, traj.grid, traj.values)), 0.0
 
     def rows(block: EventBlock):
-        _, series = pcaf.block_series(spec, block, alpha)
-        return _interp_rows(t, block.grid, series), 0.0
+        return _interp_rows(t, block.grid, pcaf.block_series(spec, block)), 0.0
 
     return Functional(functional, rows)
 
 
-def sup_sq_diff(spec_a: PcafSpec, spec_b: PcafSpec, T: float, alpha: float = 1.0) -> Functional:
+def sup_sq_diff(spec_a: PcafSpec, spec_b: PcafSpec, T: float) -> Functional:
     """F(path) = sup_{t <= T} |A_t - B_t|^2 on the shared path (common random numbers)."""
 
     def functional(path: Path):
-        ta = evaluate(spec_a, path, alpha)
-        tb = evaluate(spec_b, path, alpha)
-        d = sup_distance(ta, tb, T)
+        d = sup_distance(evaluate(spec_a, path), evaluate(spec_b, path), T)
         return d * d, 0.0
 
     def rows(block: EventBlock):
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        _, va = pcaf.block_series(spec_a, block)
-        _, vb = pcaf.block_series(spec_b, block)
+        va = pcaf.block_series(spec_a, block)
+        vb = pcaf.block_series(spec_b, block)
         d = np.where(block.grid <= T, np.abs(va - vb), 0.0).max(axis=1)
         return d * d, 0.0
 
@@ -554,12 +545,11 @@ def sup_l2_distance(
     T: float,
     cfg: SimConfig,
     n_paths: int,
-    alpha: float = 1.0,
     workers: int = 1,
 ) -> McEstimate:
     """E_w[sup_{t<=T} |A_t - B_t|^2] with both PCAFs on the same paths."""
     run_cfg = cfg if cfg.horizon == T else replace(cfg, horizon=T)
-    return expect(model, weighting, sup_sq_diff(spec_a, spec_b, T, alpha),
+    return expect(model, weighting, sup_sq_diff(spec_a, spec_b, T),
                   run_cfg, n_paths, workers)
 
 
@@ -630,7 +620,7 @@ def fukushima_residual(
     def functional(path: Path):
         uv = table(path.states) if table is not None else \
             np.array([u_fn(float(s)) for s in path.states])
-        traj = evaluate(spec, path, alpha=0.0)
+        traj = evaluate(spec, path)
         if path.piecewise_constant:
             integral = float(np.sum(uv[:-1] * np.diff(path.grid)))
         else:
@@ -642,7 +632,7 @@ def fukushima_residual(
     def static_rows(block: EventBlock):
         # one panel [0, end] at the start x0; U from the lifetime's own rate
         u = kernels.static_potential(mu, alpha, block.states[:, 0], block.rate)
-        _, series = pcaf.block_series(spec, block)
+        series = pcaf.block_series(spec, block)
         terminal = np.where(block.killed, 0.0, u)
         return terminal - u - alpha * (u * block.grid[:, 1]) + series[:, -1], 0.0
 

@@ -242,10 +242,6 @@ def static_potential(mu: SmoothMeasure, alpha: float, x, rate):
     return density_value(mu, x) / (alpha + rate)
 
 
-def potential(model, alpha, mu, tol=DEFAULT_TOL) -> Potential:
-    return Potential(model, alpha, mu, tol)
-
-
 # --------------------------------------------------------------------------
 # exact boxes for the exponential kernels (fast path for interval measures)
 # --------------------------------------------------------------------------

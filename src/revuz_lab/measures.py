@@ -14,7 +14,7 @@ singular pieces well defined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -114,14 +114,6 @@ SmoothMeasure = (
     DensityMeasure | DiracMeasure | CantorLevelMeasure | CantorLimitMeasure
     | WeightedSumMeasure
 )
-
-
-@dataclass(frozen=True)
-class SignedCombination:
-    """Formal difference mu - nu, only ever consumed by bilinear expansion."""
-
-    plus: SmoothMeasure
-    minus: SmoothMeasure
 
 
 # --------------------------------------------------------------------------
@@ -322,100 +314,6 @@ def _accepts_arrays(h, sample):
         return np.shape(out) == np.shape(sample[:2])
     except Exception:
         return False
-
-
-def total_mass(mu: SmoothMeasure, window: tuple[float, float], tol: float = 1e-9) -> float:
-    return integrate(mu, lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                     window, tol, lipschitz=0.0)
-
-
-# --------------------------------------------------------------------------
-# sampling
-# --------------------------------------------------------------------------
-
-def sample(mu: SmoothMeasure, rng: np.random.Generator, size: Optional[int] = None):
-    """Draw points from mu normalized to a probability measure.
-
-    Densities go through an inverse-CDF table built on first use; Cantor
-    levels pick one of the 2^n intervals uniformly and then a uniform point
-    inside it.  Measures with infinite total mass are rejected (window the
-    density first).
-    """
-    squeeze = size is None
-    m = 1 if size is None else int(size)
-
-    if isinstance(mu, DiracMeasure):
-        out = np.full(m, mu.point)
-    elif isinstance(mu, CantorLevelMeasure):
-        idx = rng.integers(0, 2 ** mu.n, size=m)
-        u = rng.random(m)
-        ivs = np.array(cantor_intervals(mu.n))
-        a = ivs[idx, 0]
-        out = a + u * (3.0 ** -mu.n)
-    elif isinstance(mu, DensityMeasure):
-        out = _sample_density(mu, rng, m)
-    elif isinstance(mu, CantorLimitMeasure):
-        # binary digits -> base-3 expansion with digits in {0, 2}
-        out = np.zeros(m)
-        scale = 1.0
-        for _ in range(40):
-            scale /= 3.0
-            out += 2.0 * scale * rng.integers(0, 2, size=m)
-    elif isinstance(mu, WeightedSumMeasure):
-        weights = np.array([c for c, _ in mu.terms], dtype=float)
-        if weights.sum() <= 0:
-            raise ValueError("cannot sample a zero-mass measure")
-        probs = weights / weights.sum()
-        choice = rng.choice(len(mu.terms), size=m, p=probs)
-        out = np.empty(m)
-        for k, (_, part) in enumerate(mu.terms):
-            sel = choice == k
-            if sel.any():
-                out[sel] = sample(part, rng, size=int(sel.sum()))
-        out = np.asarray(out)
-    else:
-        raise TypeError(f"unsupported measure {mu!r}")
-    return float(out[0]) if squeeze else out
-
-
-_CDF_TABLE_SIZE = 4097
-# keyed on the measure itself: the key keeps it alive, so a later measure
-# can never pick up a table built for another one
-_cdf_cache: dict[DensityMeasure, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _sample_density(mu: DensityMeasure, rng: np.random.Generator, m: int) -> np.ndarray:
-    table = _cdf_cache.get(mu)
-    if table is None:
-        a, b = mu.support
-        if not (np.isfinite(a) and np.isfinite(b)):
-            raise ValueError(
-                "sampling requires a finite-support density; window it first"
-            )
-        if mu.singular_points:
-            raise ValueError(
-                f"density {mu.label} has singular points (possibly infinite "
-                "mass); window away from them before sampling"
-            )
-        xs = np.linspace(a, b, _CDF_TABLE_SIZE)
-        fx = np.maximum(np.asarray(mu.density(xs), dtype=float), 0.0)
-        if not np.all(np.isfinite(fx)):
-            # endpoint singularities: trim the offending grid points inward
-            bad = ~np.isfinite(fx)
-            if bad[1:-1].any():
-                raise ValueError(f"density {mu.label} not finite inside its support")
-            eps = (b - a) * 1e-12
-            xs[0], xs[-1] = a + eps, b - eps
-            fx = np.maximum(np.asarray(mu.density(xs), dtype=float), 0.0)
-        cdf = np.concatenate([[0.0], np.cumsum((fx[1:] + fx[:-1]) / 2.0 * np.diff(xs))])
-        if not np.isfinite(cdf[-1]) or cdf[-1] <= 0.0:
-            raise ValueError(f"density {mu.label} has non-finite or zero mass")
-        table = (xs, cdf / cdf[-1])
-        if len(_cdf_cache) > 16:
-            _cdf_cache.clear()
-        _cdf_cache[mu] = table
-    xs, cdf = table
-    return np.interp(rng.random(m), cdf, xs)
 
 
 # --------------------------------------------------------------------------

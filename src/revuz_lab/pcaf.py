@@ -9,9 +9,11 @@ A PCAF spec pairs an occupation-type rule with the measure it represents:
 * ``CantorPcaf(n)``        the density rule with f = (3/2)^n on the level-n
   pre-Cantor set, measure = the level-n Cantor approximant.
 
-Evaluation is trapezoidal on diffusion grids and exact piecewise-constant
-on event grids; both freeze at the lifetime.  Discounted values
-``int_0^t e^{-alpha s} dA_s`` accumulate by the same rule, and carry an
+Two quantities are read off a path.  ``evaluate`` forms the undiscounted
+path A_t, which the sup distances read; it is trapezoidal on diffusion
+grids and exact piecewise-constant on event grids, and freezes at the
+lifetime.  ``discounted_final`` forms only the final discounted total
+``int_0^inf e^{-alpha s} dA_s``, which the energy identity reads, with an
 explicit horizon tail bound ``e^{-alpha T} rate / alpha``.  Event grids are
 evaluated row-wise over an ``EventBlock`` of paths (``block_series``,
 ``block_discounted_final``); a single event path is the one-row case.
@@ -20,7 +22,6 @@ evaluated row-wise over an ``EventBlock`` of paths (``block_series``,
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -141,34 +142,32 @@ def pcaf_from_config(spec: dict) -> PcafSpec:
 
 @dataclass
 class PcafTrajectory:
-    """Cumulative A and discounted values on the path's grid.
+    """Cumulative A on the path's grid: ``values[i] = A_{grid[i]}``.
 
-    ``values[i] = A_{grid[i]}``; ``discounted[i] = int_0^{grid[i]} e^{-alpha s} dA_s``.
-    Both are frozen at the lifetime by construction (the grid ends there).
-    ``tail_rate`` bounds dA/dt near the horizon for the tail estimate.
+    Frozen at the lifetime by construction (the grid ends there).
     """
 
     grid: np.ndarray
     values: np.ndarray
-    discounted: np.ndarray
-    alpha: float
-    tail_rate: float
-    killed: bool
-    horizon: float
 
 
-_disc_cache: list = []  # (alpha, grid object, exp table); shared grids only
+# e^{-alpha t} on the shared read-only uniform grids, keyed like
+# simulate._grid_cache; a key is plain values, so a racing clear only costs
+# a recomputation
+_disc_cache: dict[tuple[float, int, float], np.ndarray] = {}
 
 
-def _discount_for(grid: np.ndarray, alpha: float) -> np.ndarray:
-    for a, g, e in _disc_cache:
-        if a == alpha and g is grid:
-            return e
-    e = np.exp(-alpha * grid)
-    if not grid.flags.writeable:  # only the shared uniform grids persist
+def _discount_row(path: Path, alpha: float) -> np.ndarray:
+    t = path.grid
+    if path.uniform_dt is None or t.flags.writeable:
+        return np.exp(-alpha * t)
+    key = (alpha, t.size, path.uniform_dt)
+    e = _disc_cache.get(key)
+    if e is None:
+        e = np.exp(-alpha * t)
         if len(_disc_cache) > 8:
             _disc_cache.clear()
-        _disc_cache.append((alpha, grid, e))
+        _disc_cache[key] = e
     return e
 
 
@@ -183,22 +182,6 @@ def _discount_weights(grid: np.ndarray, alpha: float) -> np.ndarray:
     return (e[:, :-1] - e[:, 1:]) / alpha
 
 
-def _event_series(fv: np.ndarray, grid: np.ndarray, alpha: float) -> np.ndarray:
-    """Row-wise cumulative A (alpha = 0) or discounted A on event rows.
-
-    Exact piecewise-constant integration: each panel contributes its left
-    value times its width (alpha = 0) or its exact exponential weight.
-    Zero-width padding panels add exactly 0.
-    """
-    if alpha == 0.0:
-        panels = grid[:, 1:] - grid[:, :-1]
-    else:
-        panels = _discount_weights(grid, alpha)
-    out = np.zeros(grid.shape)
-    np.cumsum(fv[:, :-1] * panels, axis=1, out=out[:, 1:])
-    return out
-
-
 def _tail_rate(spec: PcafSpec, fv: np.ndarray):
     """The spec's rate bound, else the largest value along each path."""
     if spec.rate_bound is not None:
@@ -206,16 +189,18 @@ def _tail_rate(spec: PcafSpec, fv: np.ndarray):
     return fv.max(axis=-1) if fv.size else 0.0
 
 
-def block_series(spec: PcafSpec, block: EventBlock, alpha: float = 0.0):
-    """(f values, cumulative series) on every row of an event block.
+def block_series(spec: PcafSpec, block: EventBlock) -> np.ndarray:
+    """Cumulative A at every grid point of every row of an event block.
 
-    The series is A (alpha = 0) or the discounted A~ at each grid point;
-    padded points repeat the row's final value.
+    Exact piecewise-constant integration: each panel contributes its left
+    value times its width.  Padded points repeat the row's final value
+    (their zero-width panels add exactly 0).
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
     fv = _row_values(spec, block.states)
-    return fv, _event_series(fv, block.grid, alpha)
+    grid = block.grid
+    out = np.zeros(grid.shape)
+    np.cumsum(fv[:, :-1] * (grid[:, 1:] - grid[:, :-1]), axis=1, out=out[:, 1:])
+    return out
 
 
 def block_discounted_final(spec: PcafSpec, block: EventBlock, alpha: float):
@@ -234,97 +219,52 @@ def block_discounted_final(spec: PcafSpec, block: EventBlock, alpha: float):
     return totals, np.where(block.killed, 0.0, tail)
 
 
-def evaluate(spec: PcafSpec, path: Path, alpha: float = 1.0) -> PcafTrajectory:
-    """Accumulate the PCAF and its discounted version along one path.
+def evaluate(spec: PcafSpec, path: Path) -> PcafTrajectory:
+    """Accumulate A along one path.
 
     Diffusion grids use the trapezoid rule; event grids (flip, static) use
-    exact piecewise-constant integration, including the exact exponential
-    weight on each panel for the discounted part (the one-row case of
+    exact piecewise-constant integration (the one-row case of
     ``block_series``).
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
     t = path.grid
     if path.piecewise_constant:
-        block = EventBlock.of_path(path)
-        fv = _row_values(spec, block.states)
-        values = _event_series(fv, block.grid, 0.0)[0]
-        disc = values.copy() if alpha == 0.0 else _event_series(fv, block.grid, alpha)[0]
-        fv = fv[0]
+        return PcafTrajectory(t, block_series(spec, EventBlock.of_path(path))[0])
+    fv = spec.values(path.states)
+    values = np.empty(t.size)
+    values[0] = 0.0
+    mid = fv[:-1] + fv[1:]
+    if path.uniform_dt is not None:
+        np.cumsum(mid, out=values[1:])
+        values[1:] *= 0.5 * path.uniform_dt
     else:
-        fv = spec.values(path.states)
-        n = t.size
-        values = np.empty(n)
-        values[0] = 0.0
-        dtv = path.uniform_dt if path.uniform_dt is not None else np.diff(t)
-        mid = fv[:-1] + fv[1:]
-        np.cumsum(mid * dtv if np.ndim(dtv) else mid, out=values[1:])
-        if np.ndim(dtv) == 0:
-            values[1:] *= 0.5 * dtv
-        else:
-            values[1:] *= 0.5
-        if alpha == 0.0:
-            disc = values.copy()
-        else:
-            disc = np.empty(n)
-            disc[0] = 0.0
-            ev = _discount_for(t, alpha) * fv
-            emid = ev[:-1] + ev[1:]
-            np.cumsum(emid * dtv if np.ndim(dtv) else emid, out=disc[1:])
-            if np.ndim(dtv) == 0:
-                disc[1:] *= 0.5 * dtv
-            else:
-                disc[1:] *= 0.5
-    rate = float(_tail_rate(spec, fv))
-    return PcafTrajectory(t, values, disc, alpha, rate, path.killed, path.horizon)
+        np.cumsum(mid * np.diff(t), out=values[1:])
+        values[1:] *= 0.5
+    return PcafTrajectory(t, values)
 
 
 def discounted_final(spec: PcafSpec, path: Path, alpha: float) -> tuple[float, float]:
-    """The scalar pair (A~ at the path end, tail bound), skipping cumsums.
+    """The discounted total A~ = int e^{-alpha s} dA_s at the path end, with
+    an explicit horizon tail bound.
 
-    Same accumulation rules as ``evaluate`` followed by ``discounted_total``,
-    but only the final value is formed; event paths are the one-row case of
-    ``block_discounted_final``.
+    Diffusion grids use the trapezoid rule on e^{-alpha s} f(X_s); event
+    paths are the one-row case of ``block_discounted_final``.  Killed paths
+    are exact (nothing accumulates after death); alive paths report
+    e^{-alpha T} rate / alpha as the neglected-tail bound.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive for discounted totals")
     if path.piecewise_constant:
         total, tail = block_discounted_final(spec, EventBlock.of_path(path), alpha)
         return float(total[0]), float(tail[0])
-    t = path.grid
     fv = spec.values(path.states)
-    ev = _discount_for(t, alpha) * fv
+    ev = _discount_row(path, alpha) * fv
     if path.uniform_dt is not None:
         total = (float(ev.sum()) - 0.5 * float(ev[0] + ev[-1])) * path.uniform_dt
     else:
-        dtv = np.diff(t)
-        total = 0.5 * float(np.dot(ev[:-1] + ev[1:], dtv))
+        total = 0.5 * float(np.dot(ev[:-1] + ev[1:], np.diff(path.grid)))
     if path.killed:
         return total, 0.0
     return total, math.exp(-alpha * path.horizon) * float(_tail_rate(spec, fv)) / alpha
-
-
-def discounted_total(
-    traj: PcafTrajectory, tol: Optional[float] = None
-) -> tuple[float, float]:
-    """Discounted total A-tilde at infinity, with an explicit tail bound.
-
-    Killed paths are exact (nothing accumulates after death); alive paths
-    report e^{-alpha T} rate / alpha as the neglected-tail bound.  When a
-    tolerance is requested and the bound exceeds it, a warning flags that
-    the caller should extend the horizon.
-    """
-    value = float(traj.discounted[-1])
-    if traj.killed or traj.alpha == 0.0:
-        return value, 0.0
-    tail = math.exp(-traj.alpha * traj.horizon) * traj.tail_rate / traj.alpha
-    if tol is not None and tail > tol:
-        warnings.warn(
-            f"discounted-total tail bound {tail:.3g} exceeds the requested "
-            f"tolerance {tol:.3g}; extend the horizon",
-            stacklevel=2,
-        )
-    return value, tail
 
 
 def sup_distance(a: PcafTrajectory, b: PcafTrajectory, T: float) -> float:

@@ -45,7 +45,6 @@ FUNCTIONALS = [
     ("discounted_square_asymmetric", discounted_square(EXP, 1.0), 1.0),
     ("terminal_value", terminal_value(SIN3, 0.5), 1.0),
     ("terminal_value_at_horizon", terminal_value(SIN3, 1.0), 1.0),
-    ("terminal_value_discounted", terminal_value(QUAD, 3.7, alpha=1.3), 20.0),
     ("sup_sq_diff", sup_sq_diff(PERTURBED, BASE, 1.0), 1.0),
     ("sup_sq_diff_inside", sup_sq_diff(QUAD, SIN3, 0.5), 1.0),
     ("discounted_sq_diff", discounted_sq_diff(PERTURBED, BASE, 1.0), 20.0),
@@ -99,7 +98,7 @@ def _static_residual_loop(mu, x, cfg, n_paths, alpha=1.0):
         uv = np.array([u(float(s)) for s in path.states])
         integral = float(np.sum(uv[:-1] * np.diff(path.grid)))
         terminal = 0.0 if path.killed else float(uv[-1])
-        a_end = float(pcaf.evaluate(spec, path, alpha=0.0).values[-1])
+        a_end = float(pcaf.evaluate(spec, path).values[-1])
         vals[i] = terminal - float(uv[0]) - alpha * integral + a_end
     return estimators._estimate_from_values(vals, np.zeros(n_paths), cfg.seed)
 

@@ -5,12 +5,12 @@ import pytest
 
 from revuz_lab import kernels, measures
 from revuz_lab.kernels import (
+    Potential,
     energy,
     green,
     kappa_pairing,
     m_pairing,
     nu0_pairing,
-    potential,
     resolvent_apply,
     resolvent_one,
     rho,
@@ -111,7 +111,7 @@ class TestEnergy:
         mu = CantorLevelMeasure(2)
         nu = measures.uniform_density(0.0, 1.0)
         fast = energy(FREE_BM, 1.0, mu, nu)
-        u_nu = potential(FREE_BM, 1.0, nu, tol=1e-11)
+        u_nu = Potential(FREE_BM, 1.0, nu, tol=1e-11)
         slow = measures.integrate(mu, lambda x: u_nu(float(x)), (0.0, 1.0), 1e-10)
         assert fast == pytest.approx(slow, abs=1e-8)
 

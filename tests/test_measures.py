@@ -16,9 +16,7 @@ from revuz_lab.measures import (
     cantor_membership,
     integrate,
     measure_from_config,
-    sample,
 )
-from revuz_lab.simulate import rng_for
 
 
 class TestCantorSet:
@@ -129,53 +127,6 @@ def test_cdf_convergence_is_monotone():
     for n in (1, 2, 3, 4):
         gaps.append(max(abs(_cantor_cdf(x, n) - _cantor_cdf(x, n + 1)) for x in grid))
     assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
-
-
-class TestSample:
-    def test_dirac(self):
-        assert sample(DiracMeasure(2.0), rng_for(0, 0)) == 2.0
-
-    def test_cantor_support(self):
-        rng = rng_for(1, 0)
-        pts = sample(CantorLevelMeasure(1), rng, size=2000)
-        assert all(cantor_membership(p, 1) for p in pts)
-
-    def test_cantor_limit_support(self):
-        rng = rng_for(1, 1)
-        pts = sample(CantorLimitMeasure(), rng, size=500)
-        assert all(cantor_membership(p, 6) for p in pts)
-
-    def test_uniform_moments(self):
-        # oracle: uniform distribution moments; 1e5 samples, 3 sigma
-        rng = rng_for(7, 0)
-        pts = sample(measures.uniform_density(0.0, 1.0), rng, size=100_000)
-        se = pts.std(ddof=1) / math.sqrt(pts.size)
-        assert abs(pts.mean() - 0.5) <= 3.0 * se
-
-    def test_sample_integrate_consistency(self):
-        # Monte Carlo mean of a smooth h agrees with quadrature within 4 se
-        mu = measures.sin_shift(3)
-        rng = rng_for(11, 0)
-        pts = sample(mu, rng, size=100_000)
-        h = lambda x: np.cos(x)
-        mass = measures.total_mass(mu, (0.0, 1.0))
-        mc = np.cos(pts).mean()
-        se = np.cos(pts).std(ddof=1) / math.sqrt(pts.size)
-        quad = integrate(mu, h, (0.0, 1.0)) / mass
-        assert abs(mc - quad) <= 4.0 * se + 1e-4  # small inverse-CDF table bias
-
-    def test_infinite_mass_rejected(self):
-        with pytest.raises(ValueError):
-            sample(measures.perturbed_base(), rng_for(0, 0))
-
-    def test_temporary_measures_get_their_own_tables(self):
-        # each temporary measure is freed before the next is built, so an
-        # identity-keyed table cache would hand later ones a stale table
-        outside = 0
-        for k in range(200):
-            pts = sample(measures.uniform_density(k, k + 1), rng_for(5, k), size=16)
-            outside += int(np.any((pts < k) | (pts > k + 1)))
-        assert outside == 0
 
 
 class TestConfigLiterals:

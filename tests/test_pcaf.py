@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from revuz_lab import measures
-from revuz_lab.models import ExitKind, FLIP_JUMP, FREE_BM, KILLED_STATIC
+from revuz_lab.models import ABSORBED_BM, ExitKind, FLIP_JUMP, FREE_BM, KILLED_STATIC
 from revuz_lab.pcaf import (
     CantorPcaf,
     DensityPcaf,
     LocalTimePcaf,
     discounted_final,
-    discounted_total,
     evaluate,
     pcaf_from_config,
     pcaf_of_measure,
@@ -22,20 +21,17 @@ ONES = DensityPcaf(lambda x: np.ones_like(np.asarray(x, dtype=float)),
                    label="ones", rate_bound=1.0)
 
 
-def _synthetic(grid, values, alpha=1.0):
+def _synthetic(grid, values):
     """Trajectory stub for sup-distance unit tests."""
     from revuz_lab.pcaf import PcafTrajectory
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    return PcafTrajectory(grid, values, values.copy(), alpha, 1.0, False,
-                          float(grid[-1]))
+    return PcafTrajectory(np.asarray(grid, dtype=float), np.asarray(values, dtype=float))
 
 
 class TestEvaluate:
     def test_unit_density_gives_time(self):
         cfg = SimConfig(dt=1e-2, horizon=2.0, seed=5)
         p = simulate_path(FREE_BM, 0.0, cfg, rng_for(5, 0))
-        traj = evaluate(ONES, p, alpha=0.0)
+        traj = evaluate(ONES, p)
         assert np.allclose(traj.values, p.grid, atol=1e-12)
 
     def test_killed_static_exact_discount(self):
@@ -43,8 +39,7 @@ class TestEvaluate:
         cfg = SimConfig(dt=1e-3, horizon=50.0, seed=3)
         p = simulate_path(KILLED_STATIC, 0.4, cfg, rng_for(3, 7))
         assert p.killed
-        traj = evaluate(ONES, p, alpha=1.0)
-        v, tail = discounted_total(traj)
+        v, tail = discounted_final(ONES, p, 1.0)
         assert tail == 0.0
         assert v == pytest.approx(1.0 - math.exp(-p.zeta), abs=1e-14)
 
@@ -54,7 +49,7 @@ class TestEvaluate:
         states = np.array([1.0, -1.0, 1.0, 1.0])
         p = Path(grid, states, math.inf, ExitKind.ALIVE, 2.0, piecewise_constant=True)
         spec = DensityPcaf(lambda x: np.asarray(x) + 2.0, label="x+2", rate_bound=3.0)
-        traj = evaluate(spec, p, alpha=0.0)
+        traj = evaluate(spec, p)
         assert traj.values[-1] == pytest.approx(3.0 * 0.5 + 1.0 * 0.7 + 3.0 * 0.8)
 
     def test_flip_closed_form_mean(self):
@@ -66,7 +61,7 @@ class TestEvaluate:
         vals = np.empty(20_000)
         for i in range(vals.size):
             p = simulate_path(FLIP_JUMP, x0, cfg, rng_for(12, i))
-            vals[i] = evaluate(spec, p, alpha=0.0).values[-1]
+            vals[i] = evaluate(spec, p).values[-1]
         closed = t * (1.0 + math.sin(n * x0) * math.sinh(t) / math.e)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - closed) <= 3.0 * se
@@ -77,7 +72,7 @@ class TestEvaluate:
         g = DensityPcaf(lambda x: np.abs(np.sin(np.asarray(x))) + 0.5, label="high")
         for i in range(20):
             p = simulate_path(FREE_BM, 0.0, cfg, rng_for(8, i))
-            tf, tg = evaluate(f, p, 0.0), evaluate(g, p, 0.0)
+            tf, tg = evaluate(f, p), evaluate(g, p)
             assert np.all(tf.values <= tg.values + 1e-15)
 
     def test_additivity_under_shift(self):
@@ -85,11 +80,11 @@ class TestEvaluate:
         cfg = SimConfig(dt=1e-2, horizon=2.0, seed=19)
         p = simulate_path(FREE_BM, 0.1, cfg, rng_for(19, 0))
         spec = DensityPcaf(lambda x: np.asarray(x) ** 2, label="sq")
-        whole = evaluate(spec, p, 0.0)
+        whole = evaluate(spec, p)
         k = 100  # split at t = 1.0
         shifted = Path(p.grid[k:] - p.grid[k], p.states[k:], math.inf,
                        ExitKind.ALIVE, 1.0, uniform_dt=p.uniform_dt)
-        part = evaluate(spec, shifted, 0.0)
+        part = evaluate(spec, shifted)
         assert whole.values[-1] == pytest.approx(
             whole.values[k] + part.values[-1], abs=1e-12)
 
@@ -158,7 +153,7 @@ class TestDiscountedTotal:
         # oracle: int_0^T e^{-s} ds = 1 - e^{-T}; tail bounded by e^{-T}
         cfg = SimConfig(dt=1e-3, horizon=20.0, seed=2)
         p = simulate_path(FREE_BM, 0.0, cfg, rng_for(2, 0))
-        v, tail = discounted_total(evaluate(ONES, p, alpha=1.0))
+        v, tail = discounted_final(ONES, p, 1.0)
         assert v == pytest.approx(1.0 - math.exp(-20.0), abs=1e-7)
         assert 0.0 < tail <= math.exp(-20.0) * 1.0000001
 
@@ -167,20 +162,13 @@ class TestDiscountedTotal:
         spec = LocalTimePcaf(0.0, eps)
         cfg = SimConfig(dt=1e-2, horizon=5.0, seed=2)
         p = simulate_path(FREE_BM, 0.0, cfg, rng_for(2, 1))
-        _, tail = discounted_total(evaluate(spec, p, 1.0))
+        _, tail = discounted_final(spec, p, 1.0)
         assert tail == pytest.approx(math.exp(-5.0) * 0.5 / eps)
-
-    def test_tail_tolerance_flag(self):
-        cfg = SimConfig(dt=1e-2, horizon=2.0, seed=2)
-        p = simulate_path(FREE_BM, 0.0, cfg, rng_for(2, 3))
-        traj = evaluate(ONES, p, alpha=1.0)
-        with pytest.warns(UserWarning, match="extend the horizon"):
-            discounted_total(traj, tol=1e-6)
 
     def test_event_rules_are_the_panel_formulas(self):
         # the exact piecewise-constant rules, spelled out on whole paths:
-        # left value times panel width, the exponential panel weight, and
-        # the discounted total as one np.dot
+        # A as left value times panel width, and the discounted total as
+        # one np.dot against the exponential panel weights
         spec = DensityPcaf(lambda x: np.exp(-np.asarray(x)), label="exp", rate_bound=None)
         cfg = SimConfig(dt=1e-3, horizon=20.0, seed=6)
         for model, x0 in ((FLIP_JUMP, 0.5), (KILLED_STATIC, 0.3037176527266371)):
@@ -188,9 +176,8 @@ class TestDiscountedTotal:
                 p = simulate_path(model, x0, cfg, rng_for(6, i))
                 t, fv = p.grid, spec.values(p.states)
                 w = (np.exp(-1.5 * t[:-1]) - np.exp(-1.5 * t[1:])) / 1.5
-                traj = evaluate(spec, p, 1.5)
+                traj = evaluate(spec, p)
                 assert np.array_equal(traj.values[1:], np.cumsum(fv[:-1] * np.diff(t)))
-                assert np.array_equal(traj.discounted[1:], np.cumsum(fv[:-1] * w))
                 total, tail = discounted_final(spec, p, 1.5)
                 assert total.hex() == float(np.dot(fv[:-1], w)).hex()
                 expected_tail = 0.0 if p.killed else \
@@ -198,15 +185,30 @@ class TestDiscountedTotal:
                 assert tail.hex() == expected_tail.hex()
 
     def test_fast_route_matches(self):
+        # every total against its formula written out: the trapezoid rule on
+        # e^{-t} f(X_t) for diffusion grids (uniform, and the non-uniform
+        # grid of an absorbed path that dies inside the horizon), the
+        # exponential panel weights for event paths
         cfg = SimConfig(dt=1e-3, horizon=5.0, seed=14)
         spec = DensityPcaf(lambda x: np.asarray(x) ** 2 + 0.1, label="q",
                            rate_bound=None)
-        for model, x0 in ((FREE_BM, 0.2), (KILLED_STATIC, 0.3), (FLIP_JUMP, 1.0)):
-            p = simulate_path(model, x0, cfg, rng_for(14, 5))
-            v1, t1 = discounted_total(evaluate(spec, p, 1.0))
-            v2, t2 = discounted_final(spec, p, 1.0)
-            assert v1 == pytest.approx(v2, abs=1e-12)
-            assert t1 == pytest.approx(t2, abs=1e-12)
+        cases = ((FREE_BM, 0.2, 5), (ABSORBED_BM, 0.2, 5), (KILLED_STATIC, 0.3, 5),
+                 (FLIP_JUMP, 1.0, 5))
+        for model, x0, i in cases:
+            p = simulate_path(model, x0, cfg, rng_for(14, i))
+            t, fv = p.grid, spec.values(p.states)
+            if p.piecewise_constant:
+                w = np.exp(-t[:-1]) - np.exp(-t[1:])
+                expected = float(np.dot(fv[:-1], w))
+            else:
+                expected = float(np.trapezoid(np.exp(-t) * fv, t))
+            total, tail = discounted_final(spec, p, 1.0)
+            assert total == pytest.approx(expected, abs=1e-12), model.name
+            expected_tail = 0.0 if p.killed else math.exp(-5.0) * float(fv.max())
+            assert tail == pytest.approx(expected_tail, abs=1e-15), model.name
+        absorbed = simulate_path(ABSORBED_BM, 0.2, cfg, rng_for(14, 5))
+        assert absorbed.killed and absorbed.uniform_dt is None
+        assert absorbed.grid[-1] < 5.0
 
 
 class TestSpecs:
