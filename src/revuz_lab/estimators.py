@@ -1,13 +1,14 @@
 """Monte Carlo expectations under the m-, kappa- and nu0-weightings.
 
-``expect`` fans path indices out to workers, gives every path its own
-counter-based stream, and reduces with a fixed-shape pairwise tree, so an
-estimate is a pure function of (seed, config, n_paths) -- the worker count
-cannot change a single bit of the result.
+``expect`` gives every path its own counter-based stream and reduces the
+per-path values with a fixed-shape pairwise tree, so an estimate is a pure
+function of (seed, config, n_paths) -- the worker count cannot change a
+bit of it.  Workers are forked processes, at most one per available CPU,
+each filling a slice; calls too small to pay for a fork stay in-process.
 
 On the two event models (static, flip) the library functionals below are
-evaluated a block of at most ``BLOCK`` paths at a time: each worker walks
-its slice in blocks, every path still draws from its own stream, and the
+evaluated a block of at most ``BLOCK`` paths at a time: each slice is
+filled in blocks, every path still draws from its own stream, and the
 functional runs once per block on numpy rows.  Each path's value is
 bit-identical to the per-path route, which diffusion models and any other
 callable keep.
@@ -28,8 +29,12 @@ The weightings:
 
 from __future__ import annotations
 
+import bisect
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import pickle
+import signal
+import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -45,6 +50,7 @@ from revuz_lab.simulate import (
     EventBlock,
     Path,
     SimConfig,
+    Streams,
     first_hitting_time,
     rng_for,
     simulate_block,
@@ -53,6 +59,7 @@ from revuz_lab.simulate import (
 
 _STAGE = 1 << 32  # stream-index spacing between estimator stages
 BLOCK = 256  # event paths per block; bounds the rows held per worker
+_FORK_MIN_S = 0.05  # in-process seconds a call must have left to pay for forking
 
 
 # --------------------------------------------------------------------------
@@ -100,42 +107,92 @@ def _estimate_from_values(values, tails, seed, scale=1.0) -> McEstimate:
     )
 
 
-def _mc_over_indices(n_paths, workers, per_block) -> tuple[np.ndarray, np.ndarray]:
+def _mc_over_indices(n_paths, workers, seed, per_block) -> tuple[np.ndarray, np.ndarray]:
     """Fill per-path (value, tail) arrays; layout independent of workers.
 
-    ``per_block(lo, hi)`` returns the values and tails of paths lo..hi-1.
-    Each worker walks one contiguous slice in blocks of at most ``BLOCK``
-    paths.
+    ``per_block(streams, lo, hi)`` returns the values and tails of paths
+    lo..hi-1, path i drawing from ``streams.at(i)``.  The paths split into
+    at most min(workers, available CPUs) slices, filled in blocks of at most
+    ``BLOCK`` paths, each through its own ``Streams(seed)``.  The caller
+    fills slice 0; only if its timed first block predicts over
+    ``_FORK_MIN_S`` s for the rest does it fork a child per other slice.
     """
-    vals = np.empty(n_paths)
-    tails = np.empty(n_paths)
+    vals, tails = np.empty(n_paths), np.empty(n_paths)
 
-    def run_slice(lo, hi):
+    def fill(streams, lo, hi):
         for start in range(lo, hi, BLOCK):
             stop = min(start + BLOCK, hi)
-            vals[start:stop], tails[start:stop] = per_block(start, stop)
+            vals[start:stop], tails[start:stop] = per_block(streams, start, stop)
 
-    if workers <= 1:
-        run_slice(0, n_paths)
-    else:
-        bounds = np.linspace(0, n_paths, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(run_slice, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            for f in futures:
-                f.result()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    slices = max(1, min(workers, cpus or 1, n_paths))
+    bounds = [n_paths * k // slices for k in range(slices + 1)]
+    streams, first, t0 = Streams(seed), min(BLOCK, bounds[1]), time.perf_counter()
+    fill(streams, 0, first)
+    rest = (time.perf_counter() - t0) * (n_paths - first) / max(first, 1)
+    if slices == 1 or rest <= _FORK_MIN_S or not hasattr(os, "fork"):
+        fill(streams, first, n_paths)
+        return vals, tails
+    children, mask = [], signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+    try:  # [pid, lo, hi, read end, write end]; all closed, every child killed and reaped
+        try:  # no signal comes between making a pipe or a child and its record
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                children.append([0, lo, hi, *os.pipe()])
+                if (pid := os.fork()) == 0:
+                    _child(mask, children, lambda: fill(Streams(seed), lo, hi),
+                           vals[lo:hi], tails[lo:hi])
+                children[-1][0] = pid
+        finally:
+            for child in children:
+                os.close(child.pop())  # the write end
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        fill(streams, first, bounds[1])
+        for _, lo, hi, r in children:
+            data = b"".join(iter(lambda: os.read(r, 1 << 20), b""))
+            if data[:1] == b"\1":
+                raise pickle.loads(data[1:])
+            if len(data) != 1 + 16 * (hi - lo):
+                raise RuntimeError(f"the worker for paths {lo}..{hi - 1} sent no result")
+            vals[lo:hi], tails[lo:hi] = np.frombuffer(data, offset=1).reshape(2, -1)
+    finally:
+        for pid, _, _, r, *_ in children:
+            os.close(r)
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     return vals, tails
 
 
-def _path_by_path(per_index):
-    """The per_block of a per_index(i) -> (value, tail), one path at a time."""
+def _child(mask, pipes, work, *arrays):
+    """In a forked child: send the bytes of arrays after work(), or the
+    exception it raised (else a RuntimeError of its repr), up the last pipe."""
+    try:
+        *others, fd = [end for pipe in pipes for end in pipe[3:]]
+        try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            for end in others:
+                os.close(end)
+            work()
+            msg = b"".join([b"\0", *(a.tobytes() for a in arrays)])
+        except BaseException as exc:
+            try:
+                msg = b"\1" + pickle.dumps(exc)
+                pickle.loads(msg[1:])
+            except Exception:
+                msg = b"\1" + pickle.dumps(RuntimeError(repr(exc)))
+        with open(fd, "wb") as pipe:
+            pipe.write(msg)
+    finally:
+        os._exit(0)
 
-    def per_block(lo, hi):
+
+def _path_by_path(per_index):
+    """The per_block of a per_index(streams, i) -> (value, tail), one path at a time."""
+
+    def per_block(streams, lo, hi):
         out = np.empty((2, hi - lo))
         for i in range(lo, hi):
-            out[:, i - lo] = per_index(i)
+            out[:, i - lo] = per_index(streams, i)
         return out
 
     return per_block
@@ -336,23 +393,23 @@ def expect(
     array.
     """
     if isinstance(weighting, Nu0Weighting):
-        return nu0_expect(model, functional, cfg, weighting)
+        return nu0_expect(model, functional, cfg, weighting, workers=workers)
     draw, multiplier = _start_sampler(model, weighting)
     rows = getattr(functional, "rows", None)
 
     if rows is not None and model.name in EVENT_MODELS:
-        def per_block(lo, hi):
-            return rows(simulate_block(model, draw, cfg, lo, hi))
+        def per_block(streams, lo, hi):
+            return rows(simulate_block(model, draw, cfg, streams, lo, hi))
     else:
-        def per_index(i):
-            rng = rng_for(cfg.seed, i)
+        def per_index(streams, i):
+            rng = streams.at(i)
             x0 = draw(rng)
             path = simulate_path(model, x0, cfg, rng)
             return functional(path)
 
         per_block = _path_by_path(per_index)
 
-    vals, tails = _mc_over_indices(n_paths, workers, per_block)
+    vals, tails = _mc_over_indices(n_paths, workers, cfg.seed, per_block)
     if not np.all(np.isfinite(vals)):
         raise RuntimeError("non-finite Monte Carlo sample encountered")
     return _estimate_from_values(vals, tails, cfg.seed, scale=multiplier)
@@ -377,6 +434,7 @@ def nu0_expect(
     cfg: SimConfig,
     w: Nu0Weighting = Nu0Weighting(),
     return_breakdown: bool = False,
+    workers: int = 1,
 ):
     """Finite-difference entrance-law estimate of int E_x[F] dnu0.
 
@@ -396,17 +454,20 @@ def nu0_expect(
     nodes = u_nodes**2
     coefs = u_weights * 2.0 * u_nodes  # dx = 2 u du
 
-    e_mean = np.empty(w.node_count)
-    e_var = np.empty(w.node_count)
-    n_k = np.empty(w.node_count, dtype=int)
-    for k, x in enumerate(nodes):
-        n_k[k] = w.inner_paths * (w.boundary_boost if x < w.boundary_x else 1)
-        vals = np.empty(n_k[k])
-        for j in range(n_k[k]):
-            rng = rng_for(cfg.seed, (k + 1) * _STAGE + j)
-            vals[j], _ = functional(simulate_path(model, float(x), cfg, rng))
-        e_mean[k] = pairwise_sum(vals) / n_k[k]
-        e_var[k] = pairwise_sum((vals - e_mean[k]) ** 2) / max(n_k[k] - 1, 1)
+    # inner path j of node k: flat index starts[k] + j, stream (k + 1) * _STAGE + j
+    n_k = w.inner_paths * np.where(nodes < w.boundary_x, w.boundary_boost, 1)
+    starts = np.concatenate([[0], np.cumsum(n_k)]).tolist()
+
+    def per_index(streams, i):
+        k = bisect.bisect_right(starts, i) - 1
+        rng = streams.at((k + 1) * _STAGE + i - starts[k])
+        return functional(simulate_path(model, float(nodes[k]), cfg, rng))
+
+    vals, _ = _mc_over_indices(starts[-1], workers, cfg.seed, _path_by_path(per_index))
+    per_node = np.split(vals, starts[1:-1])
+    e_mean = np.array([pairwise_sum(v) / v.size for v in per_node])
+    e_var = np.array([pairwise_sum((v - m) ** 2) / max(v.size - 1, 1)
+                      for v, m in zip(per_node, e_mean)])
 
     ladder = [w.t0, w.t0 / 2.0, w.t0 / 4.0]
     weights = np.empty((3, w.node_count))
@@ -457,10 +518,6 @@ class IdentityReport:
     z_score: float
     window: tuple[float, float]
     exterior_bound: float
-
-    @property
-    def lhs_total(self) -> float:
-        return self.m_part.mean + 0.5 * self.kappa_term + 0.5 * self.nu0_term
 
 
 def exterior_bound(
@@ -658,14 +715,13 @@ def hitting_laplace_check(
         raise ValueError("the hitting transform check runs on the free model")
     cap = math.exp(-cfg.horizon)
 
-    def per_index(i):
-        rng = rng_for(cfg.seed, i)
-        sigma = first_hitting_time(x, y, cfg, rng)
+    def per_index(streams, i):
+        sigma = first_hitting_time(x, y, cfg, streams.at(i))
         if math.isinf(sigma):
             return 0.0, cap
         return math.exp(-sigma), 0.0
 
-    vals, tails = _mc_over_indices(n_paths, workers, _path_by_path(per_index))
+    vals, tails = _mc_over_indices(n_paths, workers, cfg.seed, _path_by_path(per_index))
     return _estimate_from_values(vals, tails, cfg.seed)
 
 

@@ -3,7 +3,8 @@
 Every path owns a counter-based random stream derived from
 ``(seed, path_index)`` through a Philox key, so a path is a pure function
 of those two integers: simulations reproduce bit-for-bit regardless of
-scheduling or worker count.
+scheduling or worker count.  Loops over many paths take their streams from
+one ``Streams`` generator, re-keyed to each path's stream in turn.
 
 The two event models (static, flip) can also be simulated a block of
 indices at a time (``simulate_block``): each path still draws from its own
@@ -31,7 +32,6 @@ from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from revuz_lab.models import ExitKind, ProcessModel
 
@@ -41,23 +41,11 @@ _CHUNK = 4096
 EVENT_MODELS = ("killed_static", "flip_jump")
 
 
-class _PhiloxKey(ISeedSequence):
-    """Hands Philox its two 64-bit key words as its seed state.
-
-    ``Philox(key=k)`` first seeds a ``SeedSequence`` from OS entropy and then
-    overwrites the state with k; seeding from the key words directly gives
-    the same state without the entropy read.
-    """
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a Philox key is two 64-bit words")
-        return self.words
+def _key_word(value, what: str) -> int:
+    value = int(value)
+    if not 0 <= value < _KEY_LIMIT:
+        raise ValueError(f"{what} {value} outside [0, 2**64)")
+    return value
 
 
 def rng_for(seed: int, path_index: int) -> np.random.Generator:
@@ -67,13 +55,28 @@ def rng_for(seed: int, path_index: int) -> np.random.Generator:
     Philox keys (key = seed * 2**64 + index), giving statistically
     independent streams; the same pair always reproduces the same draws.
     """
-    seed, path_index = int(seed), int(path_index)
-    if not 0 <= seed < _KEY_LIMIT:
-        raise ValueError(f"seed {seed} outside [0, 2**64)")
-    if not 0 <= path_index < _KEY_LIMIT:
-        raise ValueError(f"path index {path_index} outside [0, 2**64)")
-    words = np.array([path_index, seed], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_PhiloxKey(words)))
+    seed = _key_word(seed, "seed")
+    key = (seed << 64) | _key_word(path_index, "path index")
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+class Streams:
+    """One generator that ``at(i)`` re-keys to the fresh state of
+    ``rng_for(seed, i)``: the same draws, byte for byte, for a fraction of
+    the cost of a new Philox.  Take one path's draws before the next ``at``.
+    """
+
+    def __init__(self, seed: int):
+        self.rng = rng_for(seed, 0)
+        self._key = [0, int(seed)]
+        zeros = (0, 0, 0, 0)
+        self._state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": self._key},
+                       "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def at(self, path_index: int) -> np.random.Generator:
+        self._key[0] = _key_word(path_index, "path index")
+        self.rng.bit_generator.state = self._state
+        return self.rng
 
 
 @dataclass(frozen=True)
@@ -271,22 +274,23 @@ def simulate_block(
     model: ProcessModel,
     draw: Callable[[np.random.Generator], float],
     cfg: SimConfig,
+    streams: Streams,
     lo: int,
     hi: int,
 ) -> EventBlock:
     """Paths lo..hi-1 of an event model as an ``EventBlock``.
 
-    Path i takes the stream ``rng_for(cfg.seed, i)``, draws its start with
-    ``draw`` and then its events from the same stream, so row i - lo is
-    bit-identical to ``simulate_path(model, x0, cfg, rng)`` after the same
-    start draw.
+    Path i takes the stream ``streams.at(i)`` (``rng_for(cfg.seed, i)`` for
+    ``Streams(cfg.seed)``), draws its start with ``draw`` and then its
+    events from the same stream, so row i - lo is bit-identical to
+    ``simulate_path(model, x0, cfg, rng)`` after the same start draw.
     """
     if model.name not in EVENT_MODELS:
         raise ValueError(f"{model.name} is not an event model")
     T = cfg.horizon
     starts, events = [], []
     for i in range(lo, hi):
-        rng = rng_for(cfg.seed, i)
+        rng = streams.at(i)
         x0 = draw(rng)
         model.require_inside(x0)
         starts.append(x0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from revuz_lab import kernels, measures
+from revuz_lab import measures
 from revuz_lab.kernels import (
     Potential,
     energy,

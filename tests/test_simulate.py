@@ -6,7 +6,6 @@ from scipy.stats import norm
 
 from revuz_lab.models import ABSORBED_BM, FLIP_JUMP, FREE_BM, KILLED_STATIC, ExitKind
 from revuz_lab.simulate import (
-    Path,
     SimConfig,
     first_hitting_time,
     rng_for,
