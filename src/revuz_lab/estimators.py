@@ -634,8 +634,7 @@ class _PotentialTable:
         lo = max(lo, slo + margin if math.isfinite(slo) else lo)
         hi = min(hi, shi - margin if math.isfinite(shi) else hi)
         self.xs = np.linspace(lo, hi, points)
-        u = Potential(model, alpha, mu, tol=tol)
-        self.us = np.array([u(float(x)) for x in self.xs])
+        self.us = Potential(model, alpha, mu, tol=tol)(self.xs)
         # boundary behaviour outside the table: decay to 0 on the left for
         # the absorbed model, kernel decay on both free ends
         self.left = 0.0 if model.name == "absorbed_bm" else float(self.us[0])

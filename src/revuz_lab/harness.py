@@ -14,8 +14,10 @@ rather than passing silently.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+import os
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
@@ -53,13 +55,17 @@ class HarnessConfig:
         return SimConfig(dt=self.dt, horizon=horizon, seed=self.seed)
 
 
+@functools.cache
 def _build_id() -> str:
+    """The version plus ``git describe`` of the package's own checkout, once per process."""
     try:
-        desc = subprocess.run(
+        proc = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True, text=True, timeout=5,
-        ).stdout.strip()
-    except Exception:
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+        )
+        desc = proc.stdout.strip() if proc.returncode == 0 else ""
+    except (OSError, subprocess.SubprocessError):
         desc = ""
     return f"revuz-lab-{__version__}" + (f"+{desc}" if desc else "")
 

@@ -16,6 +16,10 @@ E_a(U_a mu, U_a nu) = int int g_a dmu dnu, the metric
 and the boundary/killing pairings that appear in the energy identity are
 all built from these.
 
+Piecewise-constant measures are declared on the measure (``_as_boxes``);
+for them the kernel models' potential is a vectorized closed form, and the
+energy of two of them is exact.  Every other measure goes through quadrature.
+
 The free-BM closed form is validated against the time-integral
 representation of the kernel (to 1e-10) before first use.
 """
@@ -198,12 +202,14 @@ def measure_atoms(mu: SmoothMeasure) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class Potential:
-    """The alpha-potential U_alpha mu as a callable.
+    """The alpha-potential U_alpha mu as a callable, at a point or an array.
 
-    For kernel models this is x -> int g_alpha(x, y) dmu(y); for the static
+    For kernel models this is x -> int g_alpha(x, y) dmu(y): in closed form
+    (``_box_potential``) when mu is piecewise constant by declaration (see
+    ``_as_boxes``), by quadrature at each point otherwise.  For the static
     and flip models it is the closed resolvent applied to the density.
     Values are nonnegative, and for the absorbed model vanish at the
-    boundary.
+    boundary.  A float argument gives a float, an array an array.
     """
 
     model: ProcessModel
@@ -211,24 +217,26 @@ class Potential:
     mu: SmoothMeasure
     tol: float = DEFAULT_TOL
 
-    def __call__(self, x: float) -> float:
-        m = self.model
-        if m.name in _KERNEL_MODELS:
-            lo, hi = measure_support(self.mu)
-            return measures.integrate(
-                self.mu, lambda y: green(m, self.alpha, x, y),
-                (lo, hi), self.tol, lipschitz=1.0,
-                integrand_points=(x,),
-            )
-        if m.name == "killed_static":
-            return float(static_potential(self.mu, self.alpha, x, m.killing_density(x)))
-        if m.name == "flip_jump":
-            if not isinstance(self.mu, DensityMeasure):
+    def __call__(self, x):
+        m, alpha, mu = self.model, self.alpha, self.mu
+        boxes = _as_boxes(mu) if m.name in _KERNEL_MODELS else None
+        if boxes is not None:
+            out = _box_potential(m, alpha, boxes, x)
+        elif m.name in _KERNEL_MODELS:
+            out = np.array([measures.integrate(
+                mu, lambda y: green(m, alpha, p, y), measure_support(mu), self.tol,
+                lipschitz=1.0, integrand_points=(p,),
+            ) for p in np.ravel(x).tolist()]).reshape(np.shape(x))
+        elif m.name == "killed_static":
+            out = static_potential(mu, alpha, x, m.killing_density(x))
+        elif m.name == "flip_jump":
+            if not isinstance(mu, DensityMeasure):
                 raise ValueError("flip_jump potentials require a density measure")
-            fx = float(density_value(self.mu, x))
-            fmx = float(density_value(self.mu, -x))
-            return (fx + fmx) / (2.0 * self.alpha) + (fx - fmx) / (2.0 * (self.alpha + 2.0))
-        raise ValueError(f"unknown model {m.name}")
+            fx, fmx = density_value(mu, x), density_value(mu, -np.asarray(x))
+            out = (fx + fmx) / (2.0 * alpha) + (fx - fmx) / (2.0 * (alpha + 2.0))
+        else:
+            raise ValueError(f"unknown model {m.name}")
+        return out if np.ndim(out) else float(out)
 
 
 def static_potential(mu: SmoothMeasure, alpha: float, x, rate):
@@ -243,7 +251,7 @@ def static_potential(mu: SmoothMeasure, alpha: float, x, rate):
 
 
 # --------------------------------------------------------------------------
-# exact boxes for the exponential kernels (fast path for interval measures)
+# exact boxes for the exponential kernels (closed forms for box measures)
 # --------------------------------------------------------------------------
 
 def _exp_decay_integral(c, a, b):
@@ -281,22 +289,16 @@ def _exp_sum_box(c, i0, i1, j0, j1):
 def _as_boxes(mu: SmoothMeasure):
     """Decompose mu into weighted intervals with constant density, if possible.
 
-    Returns a list of (mass_density, a, b) triples or None when mu is not
-    piecewise constant.
+    Returns a list of (height, a, b) triples, or None when mu is not
+    piecewise constant: a density measure is when it declares ``boxes``
+    (never by its label), a Cantor level always, a weighted sum when every
+    term is.  ``uniform_density``, ``spike`` and ``zero_measure`` declare.
     """
     if isinstance(mu, CantorLevelMeasure):
         h = (3.0 / 2.0) ** mu.n
         return [(h, a, b) for a, b in cantor_intervals(mu.n)]
     if isinstance(mu, DensityMeasure):
-        lbl = mu.label
-        if lbl.startswith("uniform[") or lbl == "zero":
-            a, b = mu.support
-            height = 1.0 if lbl != "zero" else 0.0
-            return [(height, a, b)] if height else []
-        if lbl.startswith("spike("):
-            a, b = mu.support
-            return [(float(mu.sup_bound), a, b)]
-        return None
+        return None if mu.boxes is None else list(mu.boxes)
     if isinstance(mu, WeightedSumMeasure):
         out = []
         for cw, part in mu.terms:
@@ -306,6 +308,24 @@ def _as_boxes(mu: SmoothMeasure):
             out.extend((cw * h, a, b) for h, a, b in sub)
         return out
     return None
+
+
+def _box_potential(model, alpha, boxes, x):
+    """U_alpha mu(x) = sum h int_a^b g_alpha(x, y) dy in closed form, as an array.
+
+    With c = sqrt(2 alpha) and xc = x clipped to [a, b], c^2 g integrates to
+    (2 - e^{-c(xc-a)} - e^{-c(b-xc)}) e^{-c|x-xc|} over the box (inside it the
+    second factor is 1, outside it the first is 1 - e^{-c(b-a)}), less the
+    image term e^{-c(x+a)} - e^{-c(x+b)} on the absorbed model.
+    """
+    c = math.sqrt(2.0 * alpha)
+    h, a, b = np.asarray(boxes, dtype=float).reshape(-1, 3).T
+    xs = np.asarray(x, dtype=float)[..., None]
+    xc = np.clip(xs, a, b)
+    u = (2.0 - np.exp(-c * (xc - a)) - np.exp(-c * (b - xc))) * np.exp(-c * np.abs(xs - xc))
+    if model.name == "absorbed_bm":
+        u = u - (np.exp(-c * (xs + a)) - np.exp(-c * (xs + b)))
+    return (u @ h) / (c * c)
 
 
 def _energy_boxes(model, alpha, boxes_mu, boxes_nu):
@@ -346,10 +366,11 @@ def energy(
 ) -> float:
     """Bilinear energy E_alpha(U_alpha mu, U_alpha nu) = int int g_alpha dmu dnu.
 
-    Kernel models use double quadrature (with exact closed forms whenever
-    both measures decompose into constant-density intervals, which covers
-    the Cantor levels and the indicator/spike densities).  The static and
-    flip models use their closed resolvents.
+    Kernel models take exact closed forms when both measures are boxes
+    (``_as_boxes``: Cantor levels and the declared piecewise-constant
+    densities), one quadrature against the closed-form potential when one
+    of them is, and double quadrature otherwise.  The static and flip
+    models use their closed resolvents.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -359,6 +380,8 @@ def energy(
         boxes_mu, boxes_nu = _as_boxes(mu), _as_boxes(nu)
         if boxes_mu is not None and boxes_nu is not None:
             return _energy_boxes(model, alpha, boxes_mu, boxes_nu)
+        if boxes_mu is not None:  # symmetric: keep the closed form inside
+            mu, nu = nu, mu
         u_nu = Potential(model, alpha, nu, tol=tol / 10.0)
         lo, hi = measure_support(mu)
         return measures.integrate(

@@ -46,7 +46,8 @@ class DensityMeasure:
     or kinks, used to split quadrature panels.  ``sup_bound`` is an optional
     known sup of f on the support (used for PCAF tail rates).
     ``self_clipping`` marks densities that already vanish outside their
-    support, sparing consumers the clipping wrapper.
+    support, sparing consumers the clipping wrapper.  ``boxes`` declares a
+    piecewise-constant density as (height, a, b) triples; the label is a name.
     """
 
     density: Callable[[np.ndarray], np.ndarray]
@@ -55,6 +56,7 @@ class DensityMeasure:
     singular_points: tuple[float, ...] = ()
     sup_bound: Optional[float] = None
     self_clipping: bool = False
+    boxes: Optional[tuple[tuple[float, float, float], ...]] = None
 
     def __repr__(self) -> str:
         return f"DensityMeasure({self.label} on {self.support})"
@@ -354,7 +356,7 @@ def spike(n: int) -> DensityMeasure:
         return np.where((x > 0.0) & (x < 1.0 / n), height, 0.0)
     return DensityMeasure(density=f, support=(0.0, 1.0 / n),
                           label=f"spike({n})", sup_bound=height,
-                          self_clipping=True)
+                          self_clipping=True, boxes=((height, 0.0, 1.0 / n),))
 
 
 def uniform_density(a: float, b: float) -> DensityMeasure:
@@ -363,14 +365,14 @@ def uniform_density(a: float, b: float) -> DensityMeasure:
         x = np.asarray(x, dtype=float)
         return np.where((x >= a) & (x <= b), 1.0, 0.0)
     return DensityMeasure(density=f, support=(a, b), label=f"uniform[{a},{b}]",
-                          sup_bound=1.0, self_clipping=True)
+                          sup_bound=1.0, self_clipping=True, boxes=((1.0, a, b),))
 
 
 def zero_measure() -> DensityMeasure:
     def f(x):
         return np.zeros_like(np.asarray(x, dtype=float))
     return DensityMeasure(density=f, support=(0.0, 1.0), label="zero",
-                          sup_bound=0.0, self_clipping=True)
+                          sup_bound=0.0, self_clipping=True, boxes=())
 
 
 _NAMED_DENSITIES = {

@@ -168,6 +168,12 @@ class TestFukushima:
         est = fukushima_residual(FREE_BM, mu, 0.5, 1.0, cfg, 100)
         assert est.mean == 0.0 and est.std_error == 0.0
 
+    def test_zero_measure_residual_is_zero_absorbed(self):
+        mu = measures.zero_measure()
+        cfg = SimConfig(dt=1e-2, horizon=1.0, seed=8)
+        est = fukushima_residual(ABSORBED_BM, mu, 0.5, 1.0, cfg, 100)
+        assert est.mean == 0.0 and est.std_error == 0.0
+
     def test_static_residual_centered(self):
         mu = measures.uniform_density(0.0, 1.0)
         cfg = SimConfig(dt=1e-3, horizon=1.0, seed=9)

@@ -1,4 +1,5 @@
 import json
+import subprocess
 
 import pytest
 
@@ -36,6 +37,10 @@ class TestVerdictHelpers:
         assert not plateau([0.0, 0.0, 0.0])
 
 
+def _boom(*args, **kwargs):
+    raise RuntimeError("synthetic failure")
+
+
 class TestReportMachinery:
     def test_unknown_experiment(self):
         with pytest.raises(ValueError):
@@ -57,11 +62,37 @@ class TestReportMachinery:
         assert payload["verdicts"] == {"ok": True}
         assert payload["passed"] is True
 
-    def test_inconclusive_never_passes(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise RuntimeError("synthetic failure")
+    def test_build_id_runs_git_once_in_the_package(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(harness.estimators, "expect", _boom)
+        harness._build_id.cache_clear()
+        calls, real_run = [], subprocess.run
 
-        monkeypatch.setattr(harness.estimators, "expect", boom)
+        def counting_run(*args, **kwargs):
+            calls.append(kwargs.get("cwd"))
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(harness.subprocess, "run", counting_run)
+        builds = {run_experiment("ex1", FAST).provenance["build"] for _ in range(2)}
+        assert len(calls) <= 1 and len(builds) == 1
+        harness._build_id.cache_clear()
+        monkeypatch.chdir(tmp_path)
+        assert harness._build_id() in builds
+        assert len(set(calls)) == 1
+
+    @pytest.mark.parametrize("missing", ["git", "repository"])
+    def test_build_id_falls_back_to_the_version(self, monkeypatch, tmp_path, missing):
+        if missing == "git":
+            monkeypatch.setenv("PATH", str(tmp_path))
+        else:
+            monkeypatch.setattr(harness, "__file__", str(tmp_path / "harness.py"))
+        harness._build_id.cache_clear()
+        try:
+            assert harness._build_id() == f"revuz-lab-{harness.__version__}"
+        finally:
+            harness._build_id.cache_clear()
+
+    def test_inconclusive_never_passes(self, monkeypatch):
+        monkeypatch.setattr(harness.estimators, "expect", _boom)
         rep = run_experiment("ex1", FAST)
         assert rep.inconclusive
         assert not rep.passed

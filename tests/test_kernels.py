@@ -3,23 +3,39 @@ import math
 import numpy as np
 import pytest
 
-from revuz_lab import measures
+from revuz_lab import kernels, measures
+from revuz_lab.estimators import _PotentialTable
 from revuz_lab.kernels import (
     Potential,
+    _as_boxes,
     energy,
     green,
     kappa_pairing,
     m_pairing,
+    measure_support,
     nu0_pairing,
     resolvent_apply,
     resolvent_one,
     rho,
     validate_free_green,
 )
-from revuz_lab.measures import CantorLevelMeasure, DiracMeasure
+from revuz_lab.measures import (
+    CantorLevelMeasure,
+    DensityMeasure,
+    DiracMeasure,
+    WeightedSumMeasure,
+    measure_from_config,
+)
 from revuz_lab.models import ABSORBED_BM, FLIP_JUMP, FREE_BM, KILLED_STATIC
 
 SQ2 = math.sqrt(2.0)
+
+
+def _green_quadrature(model, alpha, mu, x, tol=1e-13):
+    """U_alpha mu(x) by quadrature of the kernel itself, bypassing Potential."""
+    lo, hi = measure_support(mu)
+    return measures.integrate(mu, lambda y: green(model, alpha, x, y), (lo, hi), tol,
+                              lipschitz=1.0, integrand_points=(x,))
 
 
 def test_free_green_closed_form_validates():
@@ -111,8 +127,9 @@ class TestEnergy:
         mu = CantorLevelMeasure(2)
         nu = measures.uniform_density(0.0, 1.0)
         fast = energy(FREE_BM, 1.0, mu, nu)
-        u_nu = Potential(FREE_BM, 1.0, nu, tol=1e-11)
-        slow = measures.integrate(mu, lambda x: u_nu(float(x)), (0.0, 1.0), 1e-10)
+        slow = measures.integrate(
+            mu, lambda x: _green_quadrature(FREE_BM, 1.0, nu, float(x), tol=1e-11),
+            (0.0, 1.0), 1e-10)
         assert fast == pytest.approx(slow, abs=1e-8)
 
     def test_absorbed_boxes_match_quadrature(self):
@@ -239,3 +256,92 @@ class TestPairings:
         assert energy(ABSORBED_BM, 1.0, mu, mu) == pytest.approx(0.45283138, abs=1e-7)
         assert nu0_pairing(ABSORBED_BM, 1.0, mu) == pytest.approx(0.05206918, abs=1e-7)
         assert m_pairing(ABSORBED_BM, 1.0, mu) == pytest.approx(0.42679679, abs=1e-7)
+
+
+def _ramp():
+    """Density 2x on (0, 1), under a label that names a box."""
+    return DensityMeasure(density=lambda x: 2.0 * np.asarray(x, dtype=float),
+                          support=(0.0, 1.0), label="uniform[0.0,1.0]")
+
+
+class TestBoxes:
+    """Box measures are declared on the measure; their potential is closed form."""
+
+    def test_label_is_not_a_declaration(self):
+        ramp = _ramp()
+        assert _as_boxes(ramp) is None
+        # oracle: int int 4xy g_1(x, y) over the unit square, in closed form
+        # by sympy; the box answer for the same support would be 0.46480
+        oracle = 4.0 / 3.0 - (2.0 + SQ2) * math.exp(-SQ2)
+        assert oracle == pytest.approx(0.50328, abs=1e-5)
+        assert energy(FREE_BM, 1.0, ramp, ramp) == pytest.approx(oracle, abs=1e-8)
+        for x in (-0.5, 0.3, 1.7):
+            assert Potential(FREE_BM, 1.0, ramp)(x) == pytest.approx(
+                _green_quadrature(FREE_BM, 1.0, ramp, x), abs=1e-12)
+
+    @pytest.mark.parametrize("mu, boxes", [
+        (measures.uniform_density(0.25, 2.0), [(1.0, 0.25, 2.0)]),
+        (measures.spike(8), [(8.0 ** 1.5, 0.0, 0.125)]),
+        (measures.zero_measure(), []),
+        (measure_from_config({"type": "density",
+                              "expr": {"name": "uniform", "a": 1, "b": 2}}), [(1.0, 1.0, 2.0)]),
+        (measure_from_config({"type": "density", "expr": {"name": "spike", "n": 4}}),
+         [(8.0, 0.0, 0.25)]),
+        (measure_from_config({"type": "density", "expr": {"name": "zero"}}), []),
+        (CantorLevelMeasure(1), [(1.5, 0.0, 1.0 / 3.0), (1.5, 2.0 / 3.0, 1.0)]),
+        (WeightedSumMeasure(((2.0, measures.uniform_density(0.0, 1.0)),
+                             (0.5, measures.spike(4)))),
+         [(2.0, 0.0, 1.0), (4.0, 0.0, 0.25)]),
+    ])
+    def test_declared_boxes(self, mu, boxes):
+        assert _as_boxes(mu) == boxes
+
+    @pytest.mark.parametrize("mu", [
+        measures.sin_shift(3),
+        measures.perturbed(4),
+        DiracMeasure(0.5),
+        WeightedSumMeasure(((1.0, measures.uniform_density(0.0, 1.0)),
+                            (1.0, measures.sin_shift(2)))),
+    ])
+    def test_undeclared_measures_are_not_boxes(self, mu):
+        assert _as_boxes(mu) is None
+
+    @pytest.mark.parametrize("model", [FREE_BM, ABSORBED_BM], ids=lambda m: m.name)
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("mu", [
+        measures.uniform_density(0.0, 1.0),
+        measures.spike(8),
+        CantorLevelMeasure(2),
+        WeightedSumMeasure(((1.0, measures.uniform_density(0.5, 1.5)),
+                            (0.25, measures.uniform_density(2.0, 3.0)))),
+    ], ids=["uniform", "spike8", "cantor2", "sum"])
+    def test_closed_form_matches_green_quadrature(self, model, alpha, mu):
+        points = {1e-9, 1e-4}  # x -> 0+ on the absorbed model
+        for _, a, b in _as_boxes(mu):
+            points |= {a - 0.3, a, a + 1e-9, 0.5 * (a + b), b - 1e-9, b, b + 0.3}
+        points = sorted(p for p in points if p > 0.0 or model is FREE_BM)
+        u = Potential(model, alpha, mu)
+        values = u(np.array(points))
+        for x, value in zip(points, values):
+            oracle = _green_quadrature(model, alpha, mu, x)
+            assert u(x) == value
+            assert abs(value - oracle) <= 1e-12, (x, value, oracle)
+
+    def test_mixed_energy_integrates_the_closed_form_once(self, monkeypatch):
+        box, smooth = measures.uniform_density(0.0, 1.0), measures.sin_shift(3)
+        expected = measures.integrate(
+            smooth, lambda x: _green_quadrature(FREE_BM, 1.0, box, float(x)), (0.0, 1.0), 1e-10)
+
+        def no_kernel_quadrature(*args, **kwargs):
+            raise AssertionError("the box side's potential is closed form")
+
+        monkeypatch.setattr(kernels, "green", no_kernel_quadrature)
+        for mu, nu in ((box, smooth), (smooth, box)):
+            assert energy(FREE_BM, 1.0, mu, nu) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("model", [FREE_BM, ABSORBED_BM], ids=lambda m: m.name)
+    def test_small_table_matches_per_point_quadrature(self, model):
+        mu = measures.uniform_density(0.0, 1.0)
+        table = _PotentialTable(model, 1.0, mu, -2.0, 3.0, points=65)
+        quad = [_green_quadrature(model, 1.0, mu, float(x), tol=1e-10) for x in table.xs]
+        assert np.max(np.abs(table.us - quad)) <= 1e-14
