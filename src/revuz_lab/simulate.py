@@ -20,6 +20,13 @@ Discretization notes
   exp(-2 x_i x_{i+1} / dt) (which is >= 1 whenever the endpoint already
   crossed, so plain sign-change detection is subsumed).  The death time is
   then placed uniformly inside the offending step.
+* Absorbed paths and ``first_hitting_time`` (from |level - x0|) share one
+  walker over the distance to the boundary, d + sqrt(dt) cumsum(z).  It
+  draws in chunks, each taking its increments z, crossing uniforms u and
+  death-time uniforms v in that order, and stops after the chunk in which a
+  step fires.  The first chunk is the smallest power of two >= 4 d^2 / dt
+  (a path has then hit with chance ~0.62) clipped to [64, 4096]; later ones
+  double up to 4096, and the last is cut at the horizon.
 * The flip process is event-driven and exact; the static process draws its
   exponential lifetime directly.  Halving dt changes neither law.
 """
@@ -89,10 +96,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.horizon < self.dt:
-            raise ValueError("horizon must be at least dt")
+        if not 0 < self.dt <= self.horizon < math.inf:
+            raise ValueError(f"need 0 < dt <= horizon < inf, got {self.dt}, {self.horizon}")
+        steps = self.horizon / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"horizon {self.horizon} is not a whole number of dt {self.dt} steps")
 
 
 @dataclass
@@ -169,20 +177,29 @@ def _free_bm_path(x0, cfg, rng) -> Path:
                 uniform_dt=cfg.dt)
 
 
-def _absorbed_bm_path(x0, cfg, rng) -> Path:
-    n = int(round(cfg.horizon / cfg.dt))
+def _chunk_sizes(d: float, dt: float, n: int):
+    """Lazily, the chunk lengths of an n-step walk from distance d."""
+    first = 1 << (math.ceil(min(4.0 * d * d / dt, _CHUNK)) - 1).bit_length()
+    k = min(_CHUNK, max(64, first))
+    while n > 0:
+        yield min(k, n)
+        n -= k
+        k = min(2 * k, _CHUNK)
+
+
+def _walk(d: float, n: int, cfg: SimConfig, rng) -> tuple[np.ndarray, int, float]:
+    """(states, stop, zeta) of the walk from d > 0: states[: stop + 1] are
+    filled, and a walk that outlives the n steps has stop = n, zeta = inf."""
     sqdt = math.sqrt(cfg.dt)
-    full = _uniform_grid(cfg)
     states = np.empty(n + 1)
-    states[0] = x0
+    states[0] = d
     done = 0
-    while done < n:
-        k = min(_CHUNK, n - done)
+    for k in _chunk_sizes(d, cfg.dt, n):
         z = rng.standard_normal(k)
         u = rng.random(k)
         v = rng.random(k)
         seg = states[done : done + k + 1]
-        np.cumsum(z, out=seg[1:])
+        z.cumsum(out=seg[1:])
         seg[1:] *= sqdt
         seg[1:] += seg[0]
         if cfg.bridge_correction:
@@ -190,16 +207,22 @@ def _absorbed_bm_path(x0, cfg, rng) -> Path:
             fired = np.log(u) < (-2.0 * seg[:-1] * seg[1:] / cfg.dt)
         else:
             fired = seg[1:] <= 0.0
-        if fired.any():
-            idx = int(np.argmax(fired))
-            stop = done + idx  # death inside step [stop, stop+1]
-            zeta = (stop + float(v[idx])) * cfg.dt
-            grid = np.concatenate([full[: stop + 1], [zeta]])
-            st = np.concatenate([states[: stop + 1], [0.0]])
-            return Path(grid, st, zeta, ExitKind.CONTINUOUS_EXIT, cfg.horizon)
+        idx = int(fired.argmax())
+        if fired[idx]:
+            return states, done + idx, (done + idx + float(v[idx])) * cfg.dt
         done += k
-    return Path(full, states, math.inf, ExitKind.ALIVE, cfg.horizon,
-                uniform_dt=cfg.dt)
+    return states, n, math.inf
+
+
+def _absorbed_bm_path(x0, cfg, rng) -> Path:
+    full = _uniform_grid(cfg)
+    states, stop, zeta = _walk(x0, full.size - 1, cfg, rng)
+    if math.isinf(zeta):
+        return Path(full, states, math.inf, ExitKind.ALIVE, cfg.horizon,
+                    uniform_dt=cfg.dt)
+    grid = np.concatenate([full[: stop + 1], [zeta]])
+    states = np.concatenate([states[: stop + 1], [0.0]])
+    return Path(grid, states, zeta, ExitKind.CONTINUOUS_EXIT, cfg.horizon)
 
 
 def _flip_times(horizon: float, rng: np.random.Generator) -> list[float]:
@@ -320,36 +343,9 @@ def simulate_block(
 def first_hitting_time(
     x0: float, level: float, cfg: SimConfig, rng: np.random.Generator
 ) -> float:
-    """First time free BM from x0 touches ``level``, inf if beyond horizon.
-
-    Uses the same bridge-corrected crossing detection as absorption: the
-    offending step fires with probability exp(-2 (y-a)(y-b)/dt), and the
-    hitting time is placed uniformly inside it.
-    """
+    """First time free BM from x0 touches ``level``, inf if beyond horizon:
+    until then |level - X| is BM from |level - x0| absorbed at 0, so this is
+    the absorbed walk's death time from that distance, on the same draws."""
     if x0 == level:
         return 0.0
-    n = int(round(cfg.horizon / cfg.dt))
-    sqdt = math.sqrt(cfg.dt)
-    last = x0
-    done = 0
-    while done < n:
-        k = min(_CHUNK, n - done)
-        z = rng.standard_normal(k)
-        u = rng.random(k)
-        v = rng.random(k)
-        seg = np.empty(k + 1)
-        seg[0] = last
-        np.cumsum(z * sqdt, out=seg[1:])
-        seg[1:] += last
-        a = level - seg[:-1]
-        b = level - seg[1:]
-        if cfg.bridge_correction:
-            fired = np.log(u) < (-2.0 * a * b / cfg.dt)
-        else:
-            fired = a * b <= 0.0
-        idx = int(np.argmax(fired)) if fired.any() else -1
-        if idx >= 0:
-            return (done + idx) * cfg.dt + v[idx] * cfg.dt
-        last = seg[-1]
-        done += k
-    return math.inf
+    return _walk(abs(level - x0), int(round(cfg.horizon / cfg.dt)), cfg, rng)[2]

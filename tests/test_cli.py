@@ -78,6 +78,19 @@ def test_config_file_overrides_flags(tmp_path, capsys):
     assert "verdict" in out
 
 
+def test_estimate_rejects_partial_step_horizon():
+    # 1.0 / 0.3 steps: the free-BM grid would stop at 0.9
+    with pytest.raises(ValueError, match="whole number"):
+        main([
+            "estimate", "--model", "free_bm",
+            "--weighting", '{"type": "point", "x": 0.5}',
+            "--functional",
+            '{"kind": "terminal", "t": 1.0, "type": "density", '
+            '"expr": {"name": "sin_shift", "n": 3}}',
+            "--paths", "10", "--dt", "0.3", "--horizon", "1.0",
+        ])
+
+
 def test_config_file_rejects_unknown_keys(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("volume = 11\n")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from scipy.stats import norm
 from revuz_lab.models import ABSORBED_BM, FLIP_JUMP, FREE_BM, KILLED_STATIC, ExitKind
 from revuz_lab.simulate import (
     SimConfig,
+    _chunk_sizes,
+    _walk,
     first_hitting_time,
     rng_for,
     simulate_path,
@@ -61,6 +64,23 @@ class TestSimConfig:
             SimConfig(dt=0.0)
         with pytest.raises(ValueError):
             SimConfig(dt=1.0, horizon=0.5)
+
+    @pytest.mark.parametrize("horizon, dt", [
+        (0.05, 1e-4), (1.0, 2e-4), (20.0, 1e-3), (0.5, 1e-2), (15.0, 2e-3),
+        (0.3, 0.1), (0.7, 0.1), (1.0, 1.0),
+    ])
+    def test_whole_step_horizons_accepted(self, horizon, dt):
+        # 0.3 / 0.1 and 0.7 / 0.1 are 3 and 7 only up to rounding
+        assert SimConfig(dt=dt, horizon=horizon).horizon == horizon
+
+    @pytest.mark.parametrize("horizon, dt", [
+        (1.0, 0.3), (1.0, 0.4), (0.0015, 1e-3), (20.0001, 1e-3),
+        (math.inf, 1e-3), (1.0, math.nan), (math.nan, 1e-3),
+    ])
+    def test_partial_step_horizons_rejected(self, horizon, dt):
+        # no grid of whole dt steps ends at these horizons
+        with pytest.raises(ValueError):
+            SimConfig(dt=dt, horizon=horizon)
 
 
 class TestFreeBm:
@@ -219,3 +239,85 @@ class TestFirstHitting:
             vals[i] = 0.0 if math.isinf(s) else math.exp(-s)
         se = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - math.exp(-math.sqrt(2.0))) <= 3.5 * se + 1e-3
+
+
+def _chunk_ends(d, cfg):
+    """Step counts at which the walk from distance d finishes a chunk."""
+    n = round(cfg.horizon / cfg.dt)
+    return list(itertools.accumulate(_chunk_sizes(d, cfg.dt, n)))
+
+
+def _reference_death(d, cfg, rng):
+    """Death time of the walk from d, drawn by hand: every chunk's z, u, v in
+    that order, then the crossing rule over the concatenated path."""
+    n = round(cfg.horizon / cfg.dt)
+    draws = [(rng.standard_normal(k), rng.random(k), rng.random(k))
+             for k in _chunk_sizes(d, cfg.dt, n)]
+    z, u, v = (np.concatenate(parts) for parts in zip(*draws))
+    x = np.concatenate([[d], d + math.sqrt(cfg.dt) * np.cumsum(z)])
+    if cfg.bridge_correction:
+        fired = np.log(u) < -2.0 * x[:-1] * x[1:] / cfg.dt
+    else:
+        fired = x[1:] <= 0.0
+    hits = np.flatnonzero(fired)
+    if hits.size == 0:
+        return math.inf, n
+    return (hits[0] + v[hits[0]]) * cfg.dt, int(hits[0])
+
+
+class TestWalker:
+    # first chunk: the smallest power of two >= 4 d^2 / dt (0.4, 360 and
+    # 36000 at dt = 1e-3), clipped to [64, 4096]
+    @pytest.mark.parametrize("d, first", [(0.01, 64), (0.3, 512), (3.0, 4096)])
+    def test_chunk_schedule(self, d, first):
+        for n in (1, 63, 64, 1000, 4097, 20_000, 123_457):
+            sizes = list(_chunk_sizes(d, 1e-3, n))
+            assert sum(sizes) == n
+            assert sizes[0] == min(first, n)
+            # each chunk doubles the one before, capped at 4096; the last is cut
+            for prev, k in zip(sizes[:-2], sizes[1:-1]):
+                assert k == min(2 * prev, 4096)
+            if len(sizes) > 1:
+                assert 0 < sizes[-1] <= min(2 * sizes[-2], 4096)
+
+    @pytest.mark.parametrize("bridge", [True, False])
+    def test_death_time_matches_hand_drawn_reference(self, bridge):
+        # d = 0.1 starts with a 64-step chunk; over 1000 streams a few paths
+        # die on the first step of a later chunk, whose crossing test pairs
+        # the last state of one chunk with the first of the next
+        cfg = SimConfig(dt=1e-3, horizon=2.0, seed=5, bridge_correction=bridge)
+        later_starts = set(_chunk_ends(0.1, cfg)[:-1])
+        straddled = 0
+        for i in range(1000):
+            _, stop, zeta = _walk(0.1, 2000, cfg, rng_for(5, i))
+            want, want_stop = _reference_death(0.1, cfg, rng_for(5, i))
+            assert zeta == want and stop == want_stop, i
+            straddled += stop in later_starts
+        assert straddled >= 3
+
+    @pytest.mark.parametrize("x0, horizon", [(0.05, 2.0), (0.3, 4.0)])
+    def test_killing_law_at_chunk_ends(self, x0, horizon):
+        # P_x(zeta <= t) = 2 Phi(-x / sqrt(t)) where one chunk hands over to
+        # the next, within 3 standard errors + 0.005 as in the bridge test
+        cfg = SimConfig(dt=1e-3, horizon=horizon, seed=37)
+        n = 20_000
+        zetas = np.array([simulate_path(ABSORBED_BM, x0, cfg, rng_for(37, i)).zeta
+                          for i in range(n)])
+        for end in _chunk_ends(x0, cfg):
+            t = end * cfg.dt
+            p = 2.0 * norm.cdf(-x0 / math.sqrt(t))
+            se = math.sqrt(p * (1 - p) / n)
+            assert abs(np.mean(zetas <= t) - p) <= 3.0 * se + 0.005, t
+
+    @pytest.mark.parametrize("bridge", [True, False])
+    @pytest.mark.parametrize("x0, level", [(0.2, 0.5), (0.2, -0.1), (-1.0, -0.7)])
+    def test_hitting_time_is_the_absorbed_lifetime(self, x0, level, bridge):
+        # one walker: hitting `level` from x0 is absorption from |level - x0|
+        cfg = SimConfig(dt=1e-3, horizon=1.0, seed=3, bridge_correction=bridge)
+        zetas = []
+        for i in range(200):
+            sigma = first_hitting_time(x0, level, cfg, rng_for(3, i))
+            zeta = simulate_path(ABSORBED_BM, abs(level - x0), cfg, rng_for(3, i)).zeta
+            assert sigma == zeta, i
+            zetas.append(zeta)
+        assert 0 < sum(math.isinf(z) for z in zetas) < len(zetas)
